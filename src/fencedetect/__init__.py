@@ -43,7 +43,7 @@ from .signal_io import (
     write_ground_truth,
     write_waveform,
 )
-from .spectral import dft_naive, fft, magnitude_spectrum, spectrogram
+from .spectral import dft_naive, magnitude_spectrum, spectrogram
 from .windowing import Window, WindowingConfig, to_block_matrix, windows
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "detect",
     "dft_naive",
     "extract_series",
-    "fft",
     "forward_std",
     "generate_synthetic",
     "magnitude_spectrum",

@@ -116,10 +116,13 @@ def _write_lines(lines: list[str], out: str | None) -> None:
 
 
 def _detector_config(rc: dict) -> DetectorConfig:
-    wcfg = WindowingConfig(
-        window_len=rc["window"], step=rc["step"], block_len=rc["block"]
-    )
-    return DetectorConfig(k=rc["k"], std_window=rc["std_window"], windowing=wcfg)
+    try:
+        wcfg = WindowingConfig(
+            window_len=rc["window"], step=rc["step"], block_len=rc["block"]
+        )
+        return DetectorConfig(k=rc["k"], std_window=rc["std_window"], windowing=wcfg)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _default_tolerance(rc: dict) -> float:
@@ -132,6 +135,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     rc, defaulted = _resolve(args)
     if not rc["input"]:
         raise CliError("detect needs --input")
+    cfg = _detector_config(rc)
     if args.bled_layout:
         # two-current-channel export: 12 kHz halved to 6 kHz unless overridden
         if "rate" in defaulted:
@@ -148,7 +152,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if rc["decimate"] > 1:
         stream = decimate(stream, rc["decimate"])
 
-    events, verdicts = detect(stream, _detector_config(rc))
+    events, verdicts = detect(stream, cfg)
 
     header = json.dumps({"config": _effective(rc)})
     lines = [header] + [
@@ -301,6 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = [_SWEEP_TYPES[args.param](v) for v in raw_values]
     except ValueError as exc:
         raise CliError(f"bad --values entry for {args.param}: {exc}") from exc
+    configs = [_detector_config({**rc, args.param: value}) for value in values]
 
     stream, report = read_waveform(rc["input"], rc["format"], rc["rate"])
     if report.dropped:
@@ -315,10 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "# config: " + json.dumps(_effective(rc)),
         "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms",
     ]
-    for value in values:
-        rc_here = dict(rc)
-        rc_here[args.param] = value
-        cfg = _detector_config(rc_here)
+    for value, cfg in zip(values, configs):
         started = time.perf_counter()
         events, _ = detect(stream, cfg)
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -5,18 +5,23 @@ mean gap is largest, walk a short forward standard deviation along that bin's
 block series, fence the deviations with Tukey's rule, and flag the window when
 any deviation falls outside the fences. Runs of flagged windows merge into
 single timestamped events.
+
+Each stage accepts one window or a stack of windows along a leading axis;
+``detect`` runs them once per chunk of ``CHUNK_WINDOWS`` consecutive windows.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .signal_io import SampleStream
 from .spectral import spectrogram
 from .windowing import Window, WindowingConfig, to_block_matrix, windows
+
+# windows per batched pass; bounds the stacked blocks and spectra held at once
+CHUNK_WINDOWS = 256
 
 
 @dataclass(frozen=True)
@@ -85,58 +90,66 @@ def delta_p(spectrogram_f: np.ndarray) -> np.ndarray:
     bin scores near zero.
     """
     f = np.asarray(spectrogram_f)
-    rows = f.shape[0]
+    rows = f.shape[-2]
     if rows < 2:
         raise ValueError("need at least 2 spectrogram rows")
     half = rows // 2
-    early = f[:half].mean(axis=0)
-    late = f[rows - half:].mean(axis=0)
+    early = f[..., :half, :].mean(axis=-2)
+    late = f[..., rows - half:, :].mean(axis=-2)
     return np.abs(early - late)
 
 
 def select_bin(spectrogram_f: np.ndarray) -> BinSelection:
     """Pick the bin with the largest half-mean gap, lowest index on ties."""
     gaps = delta_p(spectrogram_f)
-    best = int(np.argmax(gaps))
-    return BinSelection(selected_bin=best, delta_p=float(gaps[best]), per_bin_delta=gaps)
+    best = np.argmax(gaps, axis=-1)
+    if gaps.ndim == 1:
+        best = int(best)
+    return BinSelection(selected_bin=best, delta_p=gaps.max(axis=-1), per_bin_delta=gaps)
 
 
-def extract_series(spectrogram_f: np.ndarray, selected_bin: int) -> np.ndarray:
-    """Column of the spectrogram at the selected bin, one value per block."""
+def extract_series(spectrogram_f: np.ndarray, selected_bin: int | np.ndarray) -> np.ndarray:
+    """Column of the spectrogram at the selected bin (one per window of a stack)."""
     f = np.asarray(spectrogram_f)
-    if not 0 <= selected_bin < f.shape[1]:
-        raise ValueError(f"bin {selected_bin} out of range for {f.shape[1]} bins")
-    return f[:, selected_bin]
+    chosen = np.asarray(selected_bin)
+    if np.any((chosen < 0) | (chosen >= f.shape[-1])):
+        raise ValueError(f"bin {selected_bin} out of range for {f.shape[-1]} bins")
+    return np.take_along_axis(f, chosen[..., None, None], axis=-1)[..., 0]
 
 
 def forward_std(series: np.ndarray, w: int = 4) -> np.ndarray:
     """Population standard deviation over each length-w forward slice.
 
-    Output index t covers ``series[t .. t+w-1]``, so the result has
-    ``len(series) - w + 1`` entries.
+    Output index t covers ``series[..., t .. t+w-1]``, so the last axis of
+    the result has ``len - w + 1`` entries.
     """
     x = np.asarray(series, dtype=np.float64)
     if w < 1:
         raise ValueError("w must be positive")
-    if len(x) < w:
-        raise ValueError(f"series of length {len(x)} is shorter than w={w}")
-    return np.lib.stride_tricks.sliding_window_view(x, w).std(axis=-1)
+    if x.shape[-1] < w:
+        raise ValueError(f"series of length {x.shape[-1]} is shorter than w={w}")
+    return np.lib.stride_tricks.sliding_window_view(x, w, axis=-1).std(axis=-1)
 
 
-def quantile(values: np.ndarray, q: float) -> float:
-    """Sorted linear-interpolation quantile at position (n-1)*q."""
+def quantile(values: np.ndarray, q: float):
+    """Sorted linear-interpolation quantile at position (n-1)*q, along the last axis.
+
+    ``np.quantile`` can differ from this rule in the last bit, enough to
+    move a deviation across a fence.
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("quantile of empty input")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    s = np.sort(v)
-    pos = (s.size - 1) * q
-    lower = int(math.floor(pos))
+    s = np.sort(v, axis=-1)
+    n = s.shape[-1]
+    pos = (n - 1) * q
+    lower = int(pos)
     frac = pos - lower
-    if lower + 1 < s.size:
-        return float(s[lower] + frac * (s[lower + 1] - s[lower]))
-    return float(s[lower])
+    if lower + 1 < n:
+        return s[..., lower] + frac * (s[..., lower + 1] - s[..., lower])
+    return s[..., lower]
 
 
 def tukey_fences(sigma: np.ndarray, k: float) -> TukeyFences:
@@ -147,36 +160,38 @@ def tukey_fences(sigma: np.ndarray, k: float) -> TukeyFences:
     return TukeyFences(q1=q1, q3=q3, k=k, lo=q1 - k * iqr, hi=q3 + k * iqr)
 
 
-def classify_window(
-    sigma: np.ndarray, fences: TukeyFences
-) -> tuple[bool, int | None]:
+def classify_window(sigma: np.ndarray, fences: TukeyFences):
     """Flag the window when any deviation falls strictly outside the fences.
 
     The fence interval is closed, so values sitting exactly on a fence are
-    ordinary. Returns the flag and the index of the first outlying deviation.
+    ordinary. Returns the flag and the index of the first outlying deviation
+    (None when unflagged); for a stack, both as arrays, the index 0 when unflagged.
     """
     s = np.asarray(sigma)
-    outside = (s < fences.lo) | (s > fences.hi)
-    if not outside.any():
-        return False, None
-    return True, int(np.argmax(outside))
+    lo, hi = np.asarray(fences.lo)[..., None], np.asarray(fences.hi)[..., None]
+    outside = (s < lo) | (s > hi)
+    flagged, first = outside.any(axis=-1), np.argmax(outside, axis=-1)
+    if s.ndim == 1:
+        return (True, int(first)) if flagged else (False, None)
+    return flagged, first
 
 
-def _window_verdict(window: Window, cfg: DetectorConfig) -> WindowVerdict:
-    matrix = to_block_matrix(window, cfg.windowing.block_len)
-    spec = spectrogram(matrix)
-    selection = select_bin(spec)
-    series = extract_series(spec, selection.selected_bin)
-    sigma = forward_std(series, cfg.std_window)
-    fences = tukey_fences(sigma, cfg.k)
-    is_event, first_outlier = classify_window(sigma, fences)
-    return WindowVerdict(
-        window_start=window.start_index,
-        is_event=is_event,
-        first_outlier_block=first_outlier,
-        selection=selection,
-        fences=fences,
-    )
+def _chunk_verdicts(chunk: list[Window], cfg: DetectorConfig) -> list[WindowVerdict]:
+    block_len = cfg.windowing.block_len
+    blocks = np.stack([to_block_matrix(w, block_len) for w in chunk])
+    spec = spectrogram(blocks.reshape(-1, block_len)).reshape(blocks.shape[:2] + (-1,))
+    sel = select_bin(spec)
+    sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
+    f = tukey_fences(sigma, cfg.k)
+    flagged, first = classify_window(sigma, f)
+    return [
+        WindowVerdict(
+            w.start_index, bool(flagged[i]), int(first[i]) if flagged[i] else None,
+            BinSelection(int(sel.selected_bin[i]), float(sel.delta_p[i]), sel.per_bin_delta[i]),
+            TukeyFences(float(f.q1[i]), float(f.q3[i]), cfg.k, float(f.lo[i]), float(f.hi[i])),
+        )
+        for i, w in enumerate(chunk)
+    ]
 
 
 def detect(
@@ -188,36 +203,30 @@ def detect(
     window in between splits two events apart. Each event is stamped at the
     first outlying block of the first flagged window of its run, converted
     to a sample index, so localization is block-resolution (block_len
-    samples) rather than window-resolution.
+    samples) rather than window-resolution. With overlapping windows a run
+    can point at or before the event just emitted; it then extends that
+    event's window span instead, so sample indices strictly increase.
 
     Returns the merged events and the per-window verdicts, both in stream
     order. A stream shorter than one window yields two empty lists.
     """
     if cfg is None:
         cfg = DetectorConfig()
-    verdicts = [_window_verdict(w, cfg) for w in windows(stream, cfg.windowing)]
+    all_windows = windows(stream, cfg.windowing)
+    verdicts = []
+    for first in range(0, len(all_windows), CHUNK_WINDOWS):
+        verdicts += _chunk_verdicts(all_windows[first:first + CHUNK_WINDOWS], cfg)
 
     events: list[DetectedEvent] = []
-    run_start: WindowVerdict | None = None
-    run_last: WindowVerdict | None = None
-    for verdict in verdicts + [None]:  # sentinel closes a trailing run
-        if verdict is not None and verdict.is_event:
-            if run_start is None:
-                run_start = verdict
-            run_last = verdict
-            continue
-        if run_start is not None:
-            sample_index = (
-                run_start.window_start
-                + run_start.first_outlier_block * cfg.windowing.block_len
-            )
-            events.append(
-                DetectedEvent(
-                    sample_index=sample_index,
-                    time_s=sample_index / stream.sample_rate_hz,
-                    window_span=(run_start.window_start, run_last.window_start),
-                )
-            )
-            run_start = None
-            run_last = None
+    in_run = False
+    for verdict in verdicts:
+        if verdict.is_event:
+            index = verdict.window_start + verdict.first_outlier_block * cfg.windowing.block_len
+            if in_run or (events and index <= events[-1].sample_index):
+                span = (events[-1].window_span[0], verdict.window_start)
+                events[-1] = replace(events[-1], window_span=span)
+            else:
+                span = (verdict.window_start, verdict.window_start)
+                events.append(DetectedEvent(index, index / stream.sample_rate_hz, span))
+        in_run = verdict.is_event
     return events, verdicts

@@ -170,9 +170,10 @@ def read_waveform(
             lines = lines[1:]  # single header line is allowed
         samples, dropped = _parse_float_lines(lines)
     elif fmt in _RAW_DTYPES:
-        raw = np.fromfile(path, dtype=_RAW_DTYPES[fmt]).astype(np.float64)
+        raw = np.fromfile(path, dtype=_RAW_DTYPES[fmt]).astype(np.float64, copy=False)
         finite = np.isfinite(raw)
-        samples, dropped = raw[finite], int((~finite).sum())
+        dropped = raw.size - int(np.count_nonzero(finite))
+        samples = raw[finite] if dropped else raw
     else:
         raise ValueError(f"unknown waveform format: {fmt!r}")
     if len(samples) == 0:
@@ -254,13 +255,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     n = int(round(spec.duration_s * rate))
     t = np.arange(n) / rate
 
-    level = np.full(n, spec.base_amplitude_a)
-    for time_s, delta, _ in spec.events:
-        level[int(time_s * rate):] += delta
-
+    # envelope before level and noise added in place: fewer full-length arrays alive at once
     envelope = np.ones(n)
     if spec.drift_depth > 0:
         envelope += spec.drift_depth * _triangle(t, spec.drift_period_s)
+
+    # piecewise constant between onsets; each segment adds its deltas in spec order
+    onsets = [min(int(time_s * rate), n) for time_s, _, _ in spec.events]
+    edges = np.array(sorted({0, *onsets}))
+    values = np.full(len(edges), spec.base_amplitude_a, dtype=np.float64)
+    for onset, (_, delta, _) in zip(onsets, spec.events):
+        values[edges >= onset] += delta
+    level = np.repeat(values, np.diff(edges, append=n))
 
     signal = envelope * level * np.sin(2.0 * np.pi * spec.mains_hz * t)
     for time_s, delta, harmonics in spec.events:
@@ -271,7 +277,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
 
     if spec.noise_std_a > 0:
         rng = np.random.default_rng(spec.seed)
-        signal = signal + spec.noise_std_a * rng.standard_normal(n)
+        noise = rng.standard_normal(n)
+        noise *= spec.noise_std_a
+        signal += noise
 
     truth = sorted(
         (GroundTruthEvent(time_s, "on" if delta > 0 else "off")

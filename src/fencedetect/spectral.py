@@ -1,8 +1,8 @@
 """Block-level Fourier analysis.
 
-``fft`` is an iterative radix-2 transform restricted to power-of-two lengths;
-``dft_naive`` evaluates the defining sum directly and serves as its
-correctness oracle. Both compute the unnormalized forward transform
+Magnitudes come from numpy's real-input FFT (``np.fft.rfft``); ``dft_naive``
+evaluates the defining sum directly and serves as its correctness oracle.
+Both compute the unnormalized forward transform
 
     X[j] = sum_n x[n] * exp(-2i*pi*j*n/N)
 
@@ -11,52 +11,7 @@ and both accept stacked inputs, transforming along the last axis.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
-
-
-@lru_cache(maxsize=None)
-def _bit_reversal(n: int) -> np.ndarray:
-    """Index permutation that bit-reverses positions 0..n-1."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-@lru_cache(maxsize=None)
-def _twiddles(m: int) -> np.ndarray:
-    w = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-    w.setflags(write=False)
-    return w
-
-
-def fft(block: np.ndarray) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT along the last axis.
-
-    Raises ValueError unless the transform length is a power of two >= 2.
-    """
-    x = np.asarray(block)
-    n = x.shape[-1]
-    if not _is_power_of_two(n):
-        raise ValueError(f"fft length must be a power of two >= 2, got {n}")
-    out = x[..., _bit_reversal(n)].astype(np.complex128)
-    m = 2
-    while m <= n:
-        groups = out.reshape(out.shape[:-1] + (n // m, m))
-        even = groups[..., : m // 2]
-        odd = groups[..., m // 2:] * _twiddles(m)
-        out = np.concatenate((even + odd, even - odd), axis=-1).reshape(x.shape)
-        m *= 2
-    return out
 
 
 def dft_naive(block: np.ndarray) -> np.ndarray:
@@ -78,11 +33,10 @@ def magnitude_spectrum(block: np.ndarray) -> np.ndarray:
     """Magnitudes of the first N/2 + 1 FFT bins (DC through Nyquist).
 
     Real input makes the upper half of the spectrum redundant by conjugate
-    symmetry, so only these bins carry information.
+    symmetry, so only these bins carry information and only these are
+    computed.
     """
-    x = np.asarray(block)
-    n = x.shape[-1]
-    return np.abs(fft(x))[..., : n // 2 + 1]
+    return np.abs(np.fft.rfft(block))
 
 
 def spectrogram(matrix: np.ndarray) -> np.ndarray:

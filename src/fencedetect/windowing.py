@@ -11,7 +11,7 @@ from .signal_io import SampleStream
 
 @dataclass(frozen=True)
 class WindowingConfig:
-    """Window geometry: window and step lengths in samples, block length."""
+    """Window geometry in samples; block_len, the FFT length, is a power of two."""
 
     window_len: int = 6016
     step: int = 6016
@@ -20,6 +20,8 @@ class WindowingConfig:
     def __post_init__(self) -> None:
         if self.window_len < 1 or self.step < 1 or self.block_len < 1:
             raise ValueError("window_len, step and block_len must be positive")
+        if self.block_len < 2 or self.block_len & (self.block_len - 1):
+            raise ValueError(f"block_len must be a power of two >= 2, got {self.block_len}")
         if self.window_len % self.block_len != 0:
             raise ValueError(
                 f"block_len {self.block_len} does not divide window_len {self.window_len}"

@@ -5,11 +5,13 @@ PASS/FAIL verdict line (visible under ``pytest -s`` or on failure), so a
 suite run shows at a glance which guarantees hold.
 """
 
+import hashlib
 import json
 import math
 import time
 
 import numpy as np
+import pytest
 
 from fencedetect import cli
 from fencedetect.detector import (
@@ -28,8 +30,9 @@ from fencedetect.signal_io import (
     decimate,
     generate_synthetic,
     write_ground_truth,
+    write_waveform,
 )
-from fencedetect.spectral import dft_naive, fft, magnitude_spectrum, spectrogram
+from fencedetect.spectral import dft_naive, magnitude_spectrum, spectrogram
 from fencedetect.windowing import Window, WindowingConfig, to_block_matrix, windows
 
 RATE = 6000.0
@@ -46,19 +49,23 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_fft_oracle_equivalence_and_parseval():
-    """fft agrees with the definition-sum oracle and conserves energy."""
+    """FFT magnitudes agree with the definition-sum oracle and conserve energy."""
     rng = np.random.default_rng(1001)
     started = time.perf_counter()
     worst_rel = 0.0
     worst_parseval = 0.0
     for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         batch = rng.standard_normal((1000, n))
-        fast = fft(batch)
-        slow = dft_naive(batch)
-        scale = np.abs(slow).max(axis=1, keepdims=True)
-        worst_rel = max(worst_rel, float((np.abs(fast - slow) / scale).max()))
+        fast = spectrogram(batch)
+        slow = np.abs(dft_naive(batch))
+        scale = slow.max(axis=1, keepdims=True)
+        kept = slow[:, : n // 2 + 1]
+        worst_rel = max(worst_rel, float((np.abs(fast - kept) / scale).max()))
         time_energy = np.sum(batch**2, axis=1)
-        freq_energy = np.sum(np.abs(fast) ** 2, axis=1) / n
+        # bins 1 .. n/2-1 stand for their mirrored upper twins too
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        freq_energy = np.sum(weights * fast**2, axis=1) / n
         worst_parseval = max(
             worst_parseval,
             float(np.max(np.abs(freq_energy - time_energy) / time_energy)),
@@ -132,7 +139,8 @@ def test_pipeline_unit_examples():
     checks.append(len(extract_series(spec47, select_bin(spec47).selected_bin)) == 47)
 
     x16 = rng.standard_normal(16)
-    err = np.max(np.abs(fft(x16) - dft_naive(x16))) / np.max(np.abs(dft_naive(x16)))
+    oracle16 = np.abs(dft_naive(x16))
+    err = np.max(np.abs(magnitude_spectrum(x16) - oracle16[:9])) / np.max(oracle16)
     checks.append(err <= 1e-9)
 
     m = metrics_from_counts(tp=8, fp=2, fn=2, tn=88)
@@ -167,16 +175,19 @@ def _event_schedule(rng):
     return events
 
 
+def _ten_minute_spec():
+    return SyntheticSpec(
+        duration_s=600.0, mains_hz=60.0, base_amplitude_a=1.0,
+        noise_std_a=0.01, events=tuple(_event_schedule(np.random.default_rng(0))),
+        seed=0, sample_rate_hz=RATE, drift_depth=0.05, drift_period_s=10.0,
+    )
+
+
 def test_synthetic_end_to_end_detection_quality():
     """10 minutes, 50 seeded on/off steps: high recall and precision, fast."""
-    schedule = _event_schedule(np.random.default_rng(0))
-    assert len(schedule) == 50
-    assert all(abs(delta) >= 0.3 for _, delta in schedule)
-    spec = SyntheticSpec(
-        duration_s=600.0, mains_hz=60.0, base_amplitude_a=1.0,
-        noise_std_a=0.01, events=tuple(schedule), seed=0,
-        sample_rate_hz=RATE, drift_depth=0.05, drift_period_s=10.0,
-    )
+    spec = _ten_minute_spec()
+    assert len(spec.events) == 50
+    assert all(abs(delta) >= 0.3 for _, delta, _ in spec.events)
     started = time.perf_counter()
     stream, truth = generate_synthetic(spec)
     assert len(stream) == 3_600_000
@@ -214,8 +225,9 @@ def _phase_schedule(rng, pairs=9):
     return events
 
 
-def test_two_phase_high_rate_layout_run(tmp_path):
-    """Two 12 kHz current channels in one csv, detected and scored per phase."""
+@pytest.fixture(scope="module")
+def two_phase_csv(tmp_path_factory):
+    """Two 12 kHz current channels in one layout csv, and each phase's truth."""
     phases = {}
     for name, seed in (("a", 0), ("b", 100)):
         schedule = _phase_schedule(np.random.default_rng(seed))
@@ -233,15 +245,20 @@ def test_two_phase_high_rate_layout_run(tmp_path):
         phases["b"][0].samples,
         np.full(n, 120.0),
     ])
-    csv_path = tmp_path / "location_001_phases.csv"
+    csv_path = tmp_path_factory.mktemp("two_phase") / "location_001_phases.csv"
     with open(csv_path, "w") as fh:
         fh.write("X_Value,Current_A,Current_B,VoltageA\n")
         np.savetxt(fh, table, fmt="%.8g", delimiter=",")
+    return csv_path, {name: truth for name, (_, truth) in phases.items()}
 
+
+def test_two_phase_high_rate_layout_run(tmp_path, two_phase_csv):
+    """Two 12 kHz current channels in one csv, detected and scored per phase."""
+    csv_path, truths = two_phase_csv
     totals = {"tp": 0, "fp": 0, "fn": 0}
     for name in ("a", "b"):
         truth_path = tmp_path / f"truth_{name}.csv"
-        write_ground_truth(phases[name][1], truth_path)
+        write_ground_truth(truths[name], truth_path)
         events_path = tmp_path / f"events_{name}.jsonl"
         metrics_path = tmp_path / f"metrics_{name}.json"
         assert cli.main(["detect", "--input", str(csv_path),
@@ -263,6 +280,56 @@ def test_two_phase_high_rate_layout_run(tmp_path):
     assert metrics.precision >= 0.97
     assert metrics.recall >= 0.96
     assert metrics.f_measure >= 0.97
+
+
+# sha256 of the event and verdict rows after the config header, recorded
+# from the per-window detector built on a hand-rolled radix-2 FFT before the
+# batched rFFT path replaced it. The step-128 events are those rows less a
+# repeated row at sample 172544, which now folds into the event before it.
+GOLDEN_ROWS = {
+    "ten_minute.events": "aaa7bd02a775ef9eb2a638d28b60c951e6e0fe6a0b244d5ca2580c58302689ff",
+    "ten_minute.verdicts": "cc292a4f6c05458a7df4033c2dd390c1d79302d9345400f9a347c95a85ce744a",
+    "phase_a.events": "f6a76abca14819ffad61b4f3727c7ec721f46e1e557875d2eb22ebe0268d8864",
+    "phase_a.verdicts": "c3b155e14e5a0fc9e7f45279e51cc656b36c9bf0a9f1c740a0d55c4085bb3d04",
+    "phase_b.events": "ac4ca6173a97fcfaaf3fa2a13572cd3cd0dc872540642ee728bd133d81f4c167",
+    "phase_b.verdicts": "6cee1507629a17490697e6153c46ef67a3692b12da5b5f1c9101630e67d31e95",
+    "step_128.events": "0aee7a4733e803773b61f08982c5d9a5fedf7a65b4fe40a9cdcedad494f3db06",
+    "step_128.verdicts": "b7c2a86e2a6058364555c18480ffa9dc02e21876d8d8ff9e7ab97bcba5c6a4bc",
+}
+
+
+def _rows_sha256(path) -> str:
+    data = path.read_bytes()
+    return hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest()
+
+
+def test_rows_match_recorded_digests(tmp_path, two_phase_csv):
+    """Detect rows on the acceptance streams and a --step 128 run are pinned."""
+    ten_minutes = tmp_path / "ten_minute.f64"
+    write_waveform(generate_synthetic(_ten_minute_spec())[0], ten_minutes, "raw-f64le")
+    thirty = tmp_path / "thirty.f64"
+    assert cli.main(["synth", "--duration", "30", "--noise-std", "0.01",
+                     "--drift-depth", "0.05", "--seed", "17",
+                     "--event", "4.5:0.6", "--event", "14.5:-0.6",
+                     "--out", str(thirty), "--truth", str(tmp_path / "t.csv")]) == 0
+    csv_path, _ = two_phase_csv
+    runs = {
+        "ten_minute": ["--input", str(ten_minutes), "--format", "raw-f64le"],
+        "phase_a": ["--input", str(csv_path), "--bled-layout", "a"],
+        "phase_b": ["--input", str(csv_path), "--bled-layout", "b"],
+        "step_128": ["--input", str(thirty), "--format", "raw-f64le", "--step", "128"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        paths = {kind: tmp_path / f"{name}.{kind}" for kind in ("events", "verdicts")}
+        assert cli.main(["detect", *argv, "--out", str(paths["events"]),
+                         "--verdicts", str(paths["verdicts"])]) == 0
+        for kind, path in paths.items():
+            digests[f"{name}.{kind}"] = _rows_sha256(path)
+    differing = sorted(key for key, digest in GOLDEN_ROWS.items() if digests[key] != digest)
+    _report("rows match recorded digests", not differing,
+            f"differing: {', '.join(differing) or 'none'}")
+    assert differing == []
 
 
 def test_property_suites(tmp_path):

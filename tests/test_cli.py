@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fencedetect import cli
 
@@ -79,6 +81,40 @@ def test_detect_unreadable_input_fails(tmp_path, capsys):
     rc = cli.main(["detect", "--input", str(tmp_path / "nope.csv")])
     assert rc != 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [("--block", "94"), ("--block", "100"),
+                                     ("--step", "0"), ("--std-window", "1")])
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting):
+    # the input does not exist: a config error must win over the read error
+    argv = [command, "--input", str(tmp_path / "missing.f64"), "--format", "raw-f64le",
+            *setting]
+    if command == "sweep":
+        argv += ["--truth", str(tmp_path / "missing.csv"), "--param", "k", "--values", "0.5"]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    block=st.sampled_from([32, 64, 128]),
+    blocks=st.integers(4, 24),
+    step_share=st.floats(0.01, 0.99),
+)
+def test_overlapping_windows_give_ascending_events(tmp_path, seed, block, blocks, step_share):
+    wave, truth = _synth(tmp_path, seed=seed, events=("1.5:0.8", "3.0:-0.8"),
+                         extra=("--duration", "4", "--noise-std", "0.05"))
+    window = block * blocks
+    step = max(1, int(window * step_share))
+    geometry = ["--window", str(window), "--step", str(step), "--block", str(block)]
+    events = _detect(wave, tmp_path / "events.jsonl", extra=geometry)
+    indices = [row["sample_index"] for row in _event_lines(events)]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth),
+                     "--out", str(tmp_path / "metrics.json"), *geometry]) == 0
 
 
 def test_flags_and_config_file_agree(tmp_path):

@@ -198,6 +198,27 @@ def test_verdict_invariant_under_sigma_shift():
         assert classify_window(shifted, tukey_fences(shifted, 0.5)) == base
 
 
+def test_stages_on_a_stack_match_each_window():
+    rng = np.random.default_rng(28)
+    spec = np.abs(rng.standard_normal((30, 47, 65)))
+    spec[::3, 20:, 7] += 5.0  # every third window steps in bin 7
+    sel = select_bin(spec)
+    sigma = forward_std(extract_series(spec, sel.selected_bin))
+    fences = tukey_fences(sigma, 0.5)
+    flagged, first = classify_window(sigma, fences)
+    for i, window in enumerate(spec):
+        one = select_bin(window)
+        assert (one.selected_bin, one.delta_p) == (sel.selected_bin[i], sel.delta_p[i])
+        series_sigma = forward_std(extract_series(window, one.selected_bin))
+        assert series_sigma.tobytes() == sigma[i].tobytes()
+        own = tukey_fences(series_sigma, 0.5)
+        assert (own.q1, own.q3, own.lo, own.hi) == (
+            fences.q1[i], fences.q3[i], fences.lo[i], fences.hi[i])
+        verdict = (True, int(first[i])) if flagged[i] else (False, None)
+        assert classify_window(series_sigma, own) == verdict
+    assert flagged[::3].all()
+
+
 def test_detect_stationary_sinusoid_has_no_events():
     spec = SyntheticSpec(duration_s=20.0, noise_std_a=0.0, seed=5)
     stream, _ = generate_synthetic(spec)

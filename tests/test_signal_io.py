@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fencedetect.signal_io import (
     GroundTruthEvent,
@@ -47,6 +49,16 @@ def test_raw_f32_sample_count(tmp_path):
     assert path.stat().st_size == 24
     stream, _ = read_waveform(path, "raw-f32le", 6000.0)
     assert len(stream) == 6
+
+
+@pytest.mark.parametrize("fmt, dtype", [("raw-f32le", "<f4"), ("raw-f64le", "<f8")])
+def test_raw_drops_non_finite_and_counts(tmp_path, fmt, dtype):
+    path = tmp_path / "wave.raw"
+    np.array([1.0, np.nan, 2.0, np.inf, -np.inf, 3.0], dtype=dtype).tofile(path)
+    stream, report = read_waveform(path, fmt, 6000.0)
+    assert stream.samples.dtype == np.float64
+    assert stream.samples.tolist() == [1.0, 2.0, 3.0]
+    assert (report.kept, report.dropped) == (3, 3)
 
 
 def test_zero_valid_samples_rejected(tmp_path):
@@ -212,3 +224,30 @@ def test_ground_truth_round_trip(tmp_path):
 def test_stream_requires_positive_rate():
     with pytest.raises(ValueError):
         SampleStream(np.arange(4.0), 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    duration_s=st.floats(0.01, 1.5),
+    rate=st.sampled_from([997.0, 6000.0]),
+    base=st.floats(-2.0, 2.0),
+    # fractions from a small set make specs repeat onsets; order is random
+    events=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.999999]), st.floats(-1.0, 1.0)),
+        max_size=10,
+    ),
+)
+def test_synthetic_level_matches_per_event_loop(duration_s, rate, base, events):
+    spec = SyntheticSpec(
+        duration_s=duration_s, sample_rate_hz=rate, base_amplitude_a=base,
+        events=tuple((frac * duration_s, delta) for frac, delta in events),
+    )
+    stream, _ = generate_synthetic(spec)
+    n = int(round(duration_s * rate))
+    # the per-sample loop: every event adds its delta from its onset onward
+    level = np.full(n, base)
+    for time_s, delta, _ in spec.events:
+        level[int(time_s * rate):] += delta
+    t = np.arange(n) / rate
+    expected = np.ones(n) * level * np.sin(2.0 * np.pi * spec.mains_hz * t)
+    assert stream.samples.tobytes() == expected.tobytes()

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from fencedetect.spectral import dft_naive, fft, magnitude_spectrum, spectrogram
+from fencedetect.spectral import dft_naive, magnitude_spectrum, spectrogram
+
+
+def _oracle_magnitudes(x):
+    """|DFT| from the definition sum, cut to the bins magnitude_spectrum keeps."""
+    n = np.shape(x)[-1]
+    return np.abs(dft_naive(x))[..., : n // 2 + 1]
 
 
 def test_constant_signal_is_dc_only():
     c = 0.75
-    out = np.abs(fft(np.full(8, c)))
+    out = magnitude_spectrum(np.full(8, c))
     assert out[0] == pytest.approx(8 * c, abs=1e-12)
     assert np.all(out[1:] < 1e-12)
 
@@ -14,40 +20,37 @@ def test_constant_signal_is_dc_only():
 def test_impulse_has_flat_spectrum():
     x = np.zeros(8)
     x[0] = 1.0
-    assert np.abs(fft(x)) == pytest.approx(np.ones(8), abs=1e-12)
+    assert magnitude_spectrum(x) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 def test_single_tone_lands_in_two_bins():
     n = 8
     x = np.cos(2 * np.pi * np.arange(n) / n)
-    out = np.abs(fft(x))
+    full = np.abs(dft_naive(x))
+    assert full[1] == pytest.approx(4.0, abs=1e-12)
+    assert full[7] == pytest.approx(4.0, abs=1e-12)
+    assert np.all(np.delete(full, [1, 7]) < 1e-12)
+    # the kept half holds the lower of the two mirrored bins
+    out = magnitude_spectrum(x)
     assert out[1] == pytest.approx(4.0, abs=1e-12)
-    assert out[7] == pytest.approx(4.0, abs=1e-12)
-    others = np.delete(out, [1, 7])
-    assert np.all(others < 1e-12)
+    assert np.all(np.delete(out, 1) < 1e-12)
 
 
 def test_naive_dft_agrees_on_closed_form_cases():
     cases = [np.full(8, 0.75), np.eye(8)[0], np.cos(2 * np.pi * np.arange(8) / 8)]
     for x in cases:
-        assert np.max(np.abs(fft(x) - dft_naive(x))) < 1e-9
+        assert np.max(np.abs(magnitude_spectrum(x) - _oracle_magnitudes(x))) < 1e-9
 
 
 def test_fft_matches_naive_dft_on_random_input():
     rng = np.random.default_rng(42)
     x = rng.standard_normal(16)
     scale = np.max(np.abs(dft_naive(x)))
-    assert np.max(np.abs(fft(x) - dft_naive(x))) / scale < 1e-9
+    assert np.max(np.abs(magnitude_spectrum(x) - _oracle_magnitudes(x))) / scale < 1e-9
 
 
 def test_naive_dft_length_one_is_identity():
     assert dft_naive(np.array([2.5])) == pytest.approx([2.5])
-
-
-def test_fft_rejects_non_power_of_two():
-    for n in (1, 3, 6, 100):
-        with pytest.raises(ValueError):
-            fft(np.zeros(n))
 
 
 def test_magnitude_spectrum_bin_count():
@@ -94,29 +97,24 @@ def test_parseval_energy_identity():
     for n in (8, 16, 64, 256, 1024):
         x = rng.standard_normal(n)
         time_energy = np.sum(x**2)
-        freq_energy = np.sum(np.abs(fft(x)) ** 2) / n
+        # bins 1 .. n/2-1 stand for their mirrored upper twins too
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        freq_energy = np.sum(weights * magnitude_spectrum(x) ** 2) / n
         assert freq_energy == pytest.approx(time_energy, rel=1e-9)
 
 
 def test_fft_linearity():
     rng = np.random.default_rng(13)
     x, y = rng.standard_normal(128), rng.standard_normal(128)
-    lhs = fft(2.0 * x - 3.0 * y)
-    rhs = 2.0 * fft(x) - 3.0 * fft(y)
-    assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-9
-
-
-def test_real_input_conjugate_symmetry():
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal(128)
-    mags = np.abs(fft(x))
-    for j in range(1, 64):
-        assert mags[j] == pytest.approx(mags[128 - j], abs=1e-12 * max(1.0, mags[j]))
+    lhs = magnitude_spectrum(2.0 * x - 3.0 * y)
+    rhs = np.abs(2.0 * dft_naive(x) - 3.0 * dft_naive(y))[:65]
+    assert np.max(np.abs(lhs - rhs)) / np.max(rhs) < 1e-9
 
 
 def test_fft_batch_matches_rowwise():
     rng = np.random.default_rng(15)
     block = rng.standard_normal((5, 64))
-    batched = fft(block)
+    batched = magnitude_spectrum(block)
     for i in range(5):
-        assert np.max(np.abs(batched[i] - fft(block[i]))) < 1e-12
+        assert np.max(np.abs(batched[i] - magnitude_spectrum(block[i]))) < 1e-12

@@ -83,6 +83,13 @@ def test_config_rejects_indivisible_block():
         WindowingConfig(window_len=6016, block_len=100)
 
 
+def test_config_rejects_non_power_of_two_block():
+    for block_len in (1, 3, 6, 94, 100):
+        with pytest.raises(ValueError):
+            WindowingConfig(window_len=block_len * 64, step=block_len * 64,
+                            block_len=block_len)
+
+
 def test_config_rejects_nonpositive_fields():
     with pytest.raises(ValueError):
         WindowingConfig(step=0)
