@@ -263,17 +263,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError("synth needs --out for the waveform (raw-f64le)")
     if not rc["truth"]:
         raise CliError("synth needs --truth for the ground-truth csv")
-    spec = SyntheticSpec(
-        duration_s=args.duration,
-        mains_hz=args.mains_hz,
-        base_amplitude_a=args.base_amplitude,
-        noise_std_a=args.noise_std,
-        events=tuple(_parse_event_flag(e) for e in (args.event or [])),
-        seed=rc["seed"],
-        sample_rate_hz=rc["rate"],
-        drift_depth=args.drift_depth,
-        drift_period_s=args.drift_period,
-    )
+    try:
+        spec = SyntheticSpec(
+            duration_s=args.duration,
+            mains_hz=args.mains_hz,
+            base_amplitude_a=args.base_amplitude,
+            noise_std_a=args.noise_std,
+            events=tuple(_parse_event_flag(e) for e in (args.event or [])),
+            seed=rc["seed"],
+            sample_rate_hz=rc["rate"],
+            drift_depth=args.drift_depth,
+            drift_period_s=args.drift_period,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     stream, truth = generate_synthetic(spec)
     write_waveform(stream, rc["out"], "raw-f64le")
     write_ground_truth(truth, rc["truth"])

@@ -12,6 +12,7 @@ Each stage accepts one window or a stack of windows along a leading axis;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class DetectorConfig:
     windowing: WindowingConfig = field(default_factory=WindowingConfig)
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError("k must be finite and nonnegative")
         if self.std_window < 2:
             raise ValueError("std_window must be at least 2")
         if self.std_window > self.windowing.blocks_per_window:

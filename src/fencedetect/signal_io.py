@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,10 @@ class SyntheticSpec:
     drift_period_s: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("duration_s", "mains_hz", "base_amplitude_a", "noise_std_a",
+                     "sample_rate_hz", "drift_depth", "drift_period_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.sample_rate_hz <= 0:
@@ -107,31 +112,10 @@ class SyntheticSpec:
             )
             if not 0.0 <= time_s < self.duration_s:
                 raise ValueError(f"event time {time_s} outside [0, {self.duration_s})")
+            if not all(math.isfinite(v) for v in (delta, *(f for _, f in harmonics))):
+                raise ValueError(f"event at {time_s} has a non-finite amplitude")
             normalized.append((time_s, delta, harmonics))
         object.__setattr__(self, "events", tuple(normalized))
-
-
-def _parse_float_lines(lines: list[str]) -> tuple[np.ndarray, int]:
-    """Parse decimal text lines to float64, dropping the failures.
-
-    Returns the finite values and the count of lines that either failed to
-    parse or parsed to NaN/Inf.
-    """
-    try:
-        values = np.array(lines, dtype=np.float64)
-        bad = 0
-    except ValueError:
-        kept = []
-        bad = 0
-        for text in lines:
-            try:
-                kept.append(float(text))
-            except ValueError:
-                bad += 1
-        values = np.array(kept, dtype=np.float64)
-    finite = np.isfinite(values)
-    dropped = bad + int((~finite).sum())
-    return values[finite], dropped
 
 
 def _looks_numeric(text: str) -> bool:
@@ -140,6 +124,95 @@ def _looks_numeric(text: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _csv_field(line: str, column: int | None) -> str:
+    """The selected comma-separated field of a line; ``None`` selects the whole line."""
+    if column is None:
+        return line.strip()
+    parts = line.split(",")
+    return parts[column].strip() if column < len(parts) else ""
+
+
+def _parse_csv_lines(text: str, column: int | None) -> tuple[np.ndarray, int]:
+    """The tolerant per-line parser: the one definition of what a CSV load drops.
+
+    Blank lines are skipped; a first non-blank row whose selected field is
+    not numeric is a header. Every other row counts as dropped when its
+    field is missing, fails ``float()`` or parses to NaN/Inf. Returns the
+    finite values and the dropped count.
+    """
+    fields = [_csv_field(line, column) for line in text.splitlines() if line.strip()]
+    if fields and not _looks_numeric(fields[0]):
+        fields = fields[1:]  # single header row
+    kept = []
+    bad = 0
+    for field_text in fields:
+        try:
+            kept.append(float(field_text))
+        except ValueError:
+            bad += 1
+    values = np.array(kept, dtype=np.float64)
+    finite = np.isfinite(values)
+    return values[finite], bad + int((~finite).sum())
+
+
+# str.splitlines also breaks lines at these bytes; np.loadtxt does not
+_EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# np.loadtxt decompresses a path with one of these suffixes
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _loadtxt_safe(path: Path) -> bool:
+    """True when np.loadtxt would see the lines str.splitlines sees.
+
+    That needs plain ASCII text, none of the extra line-break bytes, and a
+    name np.loadtxt does not take for an archive.
+    """
+    if path.suffix in _COMPRESSED_SUFFIXES:
+        return False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if not chunk.isascii() or any(brk in chunk for brk in _EXTRA_LINE_BREAKS):
+                return False
+    return True
+
+
+def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
+    """Parse one comma-separated column (``None``: the whole line) of a file.
+
+    Clean files go through numpy's C loader. ``np.loadtxt`` accepts only
+    text that ``float()`` accepts, with the same rounding, so whenever it
+    reads every row its values and drop count equal those of
+    ``_parse_csv_lines``. Any file it rejects (an unparseable field, a
+    missing column, a whitespace-only line, a ``#`` line, ``1_000``) is
+    parsed by ``_parse_csv_lines`` instead.
+    """
+    if _loadtxt_safe(path):
+        skip = 0  # leading blank lines, and the header row if there is one
+        with open(path) as fh:
+            for line in fh:
+                if line.strip():
+                    if not _looks_numeric(_csv_field(line, column)):
+                        skip += 1
+                    break
+                skip += 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows after the header
+                values = np.loadtxt(
+                    path, delimiter=",", usecols=column, comments=None,
+                    dtype=np.float64, ndmin=2, skiprows=skip,
+                )
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == 1:  # more columns: a comma in a whole-line file
+                values = values[:, 0]
+                finite = np.isfinite(values)
+                dropped = values.size - int(np.count_nonzero(finite))
+                return (values[finite] if dropped else values), dropped
+    return _parse_csv_lines(path.read_text(), column)
 
 
 def read_waveform(
@@ -164,11 +237,7 @@ def read_waveform(
     """
     path = Path(path)
     if fmt == "csv":
-        lines = [ln.strip() for ln in path.read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if lines and not _looks_numeric(lines[0]):
-            lines = lines[1:]  # single header line is allowed
-        samples, dropped = _parse_float_lines(lines)
+        samples, dropped = _read_csv_column(path, None)
     elif fmt in _RAW_DTYPES:
         raw = np.fromfile(path, dtype=_RAW_DTYPES[fmt]).astype(np.float64, copy=False)
         finite = np.isfinite(raw)
@@ -191,14 +260,7 @@ def read_multichannel_csv(
     counted; a non-numeric first row is treated as a header.
     """
     path = Path(path)
-    rows = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    fields = []
-    for row in rows:
-        parts = row.split(",")
-        fields.append(parts[column].strip() if column < len(parts) else "")
-    if fields and not _looks_numeric(fields[0]):
-        fields = fields[1:]
-    samples, dropped = _parse_float_lines(fields)
+    samples, dropped = _read_csv_column(path, column)
     if len(samples) == 0:
         raise ValueError(f"no valid samples in column {column} of {path}")
     stream = SampleStream(samples, sample_rate_hz)
@@ -237,9 +299,25 @@ def decimate(stream: SampleStream, factor: int) -> SampleStream:
 
 
 def _triangle(t: np.ndarray, period_s: float) -> np.ndarray:
-    # unit triangle wave in [-1, 1], starting at -1
-    phase = (t / period_s) % 1.0
-    return np.where(phase < 0.5, 4.0 * phase - 1.0, 3.0 - 4.0 * phase)
+    # unit triangle wave in [-1, 1], starting at -1, built in one buffer;
+    # scaling the phase by 4 is exact, so the bits match 4*phase-1 / 3-4*phase
+    phase = t / period_s
+    phase %= 1.0
+    phase *= 4.0
+    rising = phase < 2.0
+    np.subtract(phase, 1.0, out=phase, where=rising)
+    np.subtract(3.0, phase, out=phase, where=np.logical_not(rising, out=rising))
+    return phase
+
+
+def _envelope(t: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
+    # amplitude factor at times t: 1 + drift_depth * triangle
+    if spec.drift_depth > 0:
+        envelope = _triangle(t, spec.drift_period_s)
+        envelope *= spec.drift_depth
+        envelope += 1.0
+        return envelope
+    return np.ones(len(t))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTruthEvent]]:
@@ -253,12 +331,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     """
     rate = spec.sample_rate_hz
     n = int(round(spec.duration_s * rate))
-    t = np.arange(n) / rate
 
-    # envelope before level and noise added in place: fewer full-length arrays alive at once
-    envelope = np.ones(n)
-    if spec.drift_depth > 0:
-        envelope += spec.drift_depth * _triangle(t, spec.drift_period_s)
+    # every full-length step works in place and frees what it no longer
+    # needs; the products keep the order (envelope * level) * sin, so the
+    # bits do too
+    t = np.arange(n) / rate
+    envelope = _envelope(t, spec)
+    signal = np.multiply(t, 2.0 * np.pi * spec.mains_hz)
+    del t
+    np.sin(signal, out=signal)
 
     # piecewise constant between onsets; each segment adds its deltas in spec order
     onsets = [min(int(time_s * rate), n) for time_s, _, _ in spec.events]
@@ -267,13 +348,20 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     for onset, (_, delta, _) in zip(onsets, spec.events):
         values[edges >= onset] += delta
     level = np.repeat(values, np.diff(edges, append=n))
+    level *= envelope
+    del envelope
+    signal *= level
+    del level
 
-    signal = envelope * level * np.sin(2.0 * np.pi * spec.mains_hz * t)
     for time_s, delta, harmonics in spec.events:
-        start = int(time_s * rate)
-        for order, frac in harmonics:
-            tone = np.sin(2.0 * np.pi * order * spec.mains_hz * t[start:])
-            signal[start:] += envelope[start:] * frac * delta * tone
+        if harmonics:
+            # arange(start, n) / rate has the bits of the full time axis from start on
+            start = int(time_s * rate)
+            t = np.arange(start, n) / rate
+            envelope = _envelope(t, spec)
+            for order, frac in harmonics:
+                tone = np.sin(2.0 * np.pi * order * spec.mains_hz * t)
+                signal[start:] += envelope * frac * delta * tone
 
     if spec.noise_std_a > 0:
         rng = np.random.default_rng(spec.seed)

@@ -47,6 +47,18 @@ def test_synth_zero_duration_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [("--duration", "-1"), ("--noise-std", "-0.1"),
+                                     ("--event", "10:0.5"), ("--drift-period", "0"),
+                                     ("--duration", "nan"), ("--noise-std", "nan"),
+                                     ("--drift-depth", "inf"), ("--event", "1:nan")])
+def test_synth_bad_setting_exits_2(tmp_path, capsys, setting):
+    argv = ["synth", "--duration", "10", "--out", str(tmp_path / "w.f64"),
+            "--truth", str(tmp_path / "t.csv"), *setting]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "w.f64").exists()
+
+
 def test_synth_missing_duration_fails(tmp_path, capsys):
     rc = cli.main(["synth", "--out", str(tmp_path / "w.f64"),
                    "--truth", str(tmp_path / "t.csv")])
@@ -84,14 +96,17 @@ def test_detect_unreadable_input_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", [("--block", "94"), ("--block", "100"),
-                                     ("--step", "0"), ("--std-window", "1")])
+                                     ("--step", "0"), ("--std-window", "1"),
+                                     ("--k", "nan"), ("--k", "inf")])
 @pytest.mark.parametrize("command", ["detect", "sweep"])
 def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting):
     # the input does not exist: a config error must win over the read error
     argv = [command, "--input", str(tmp_path / "missing.f64"), "--format", "raw-f64le",
             *setting]
     if command == "sweep":
-        argv += ["--truth", str(tmp_path / "missing.csv"), "--param", "k", "--values", "0.5"]
+        # sweep a parameter the setting does not name, so the setting stays in force
+        param, value = ("std_window", "4") if setting[0] == "--k" else ("k", "0.5")
+        argv += ["--truth", str(tmp_path / "missing.csv"), "--param", param, "--values", value]
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

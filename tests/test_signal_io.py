@@ -1,8 +1,11 @@
+import locale
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fencedetect import signal_io
 from fencedetect.signal_io import (
     GroundTruthEvent,
     SampleStream,
@@ -87,6 +90,119 @@ def test_multichannel_column_select(tmp_path):
     assert stream.samples.tolist() == [5.0, 6.0]
     assert report.dropped == 1
     assert stream.sample_rate_hz == 12000.0
+
+
+def test_clean_csv_takes_the_c_loader(tmp_path, monkeypatch):
+    def tolerant(*args):
+        raise AssertionError("clean input fell back to the per-line parser")
+
+    monkeypatch.setattr(signal_io, "_parse_csv_lines", tolerant)
+    table = np.column_stack([np.arange(50) / 12000.0, np.sin(np.arange(50)),
+                             np.cos(np.arange(50)), np.full(50, 120.0)])
+    table[7, 1] = np.nan
+    rows = "\r\n".join(",".join(f"{v:.8g}" for v in row) for row in table)
+    path = tmp_path / "phases.csv"
+    path.write_text("\nX_Value,Current_A,Current_B,VoltageA\r\n" + rows + "\r\n", newline="")
+    stream, report = read_multichannel_csv(path, 1, 12000.0)
+    expected = np.array([float(f"{v:.8g}") for v in table[:, 1]])
+    assert stream.samples.tolist() == expected[np.isfinite(expected)].tolist()
+    assert (report.kept, report.dropped) == (49, 1)
+
+    single = tmp_path / "wave.csv"
+    single.write_text("current_a\n" + "\n".join(f" {float(v)!r} " for v in table[:, 2]) + "\n")
+    stream, report = read_waveform(single, "csv", 6000.0)
+    assert stream.samples.tobytes() == table[:, 2].tobytes()
+    assert (report.kept, report.dropped) == (50, 0)
+
+
+@pytest.mark.parametrize("name", ["wave.csv.gz", "wave.xz"])
+def test_csv_named_like_an_archive_is_read_as_text(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("1.0\n2.5\n")
+    stream, report = read_waveform(path, "csv", 6000.0)
+    assert stream.samples.tolist() == [1.0, 2.5]
+    assert report.dropped == 0
+
+
+def test_comment_and_short_rows_fall_back_with_counts(tmp_path):
+    path = tmp_path / "phases.csv"
+    path.write_text("t,ia,ib\n0,1.0,2.0\n# note\n1,3.0\n2,1_000,4.0\n")
+    stream, report = read_multichannel_csv(path, 1, 12000.0)
+    assert stream.samples.tolist() == [1.0, 3.0, 1000.0]
+    assert report.dropped == 1
+    stream, report = read_multichannel_csv(path, 2, 12000.0)
+    assert stream.samples.tolist() == [2.0, 4.0]
+    assert report.dropped == 2
+
+
+_UTF8 = locale.getpreferredencoding(False).lower().replace("-", "") == "utf8"
+# control characters, some of which str.splitlines treats as line breaks
+_ODD_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x1f" + ("\x85\xa0\u2028\u0661" if _UTF8 else "")
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.8g}"),
+    st.sampled_from(["+.5", "5.", "-0", "1e400", "-1e-400", "nan", "-inf",
+                     "Infinity", "+NaN", "7", "1E3"]),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["", "abc", "1_000", "#3", "0x1", "1,5", "'2'", "nan(1)"]),
+    st.text(alphabet="0123456789.e+-na \t," + _ODD_CHARS, max_size=6),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    clean = draw(st.booleans())
+    field = _NUMBERS if clean else st.one_of(_NUMBERS, _JUNK)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+
+    def row():
+        width = draw(st.integers(3, 4) if clean else st.integers(1, 4))
+        cells = [draw(pad) + draw(field) + draw(pad) for _ in range(width)]
+        return ",".join(cells)
+
+    lines = [""] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["t,ia,ib,v", "current", " X , 1.0 ,b"])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "space", "comment"]))
+        if kind == "row":
+            lines.append(row())
+        elif kind == "blank" or clean:
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(pad))
+        else:
+            lines.append("# " + draw(st.text(alphabet="ab 1.," + _ODD_CHARS, max_size=5)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _load_csv(path, column):
+    if column is None:
+        return read_waveform(path, "csv", 6000.0)
+    return read_multichannel_csv(path, column, 12000.0)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_text())
+def test_csv_column_reader_matches_tolerant_parser(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    for column in (None, 0, 1, 2, 3):
+        values, dropped = signal_io._read_csv_column(path, column)
+        want, want_dropped = signal_io._parse_csv_lines(path.read_text(), column)
+        assert values.dtype == np.float64
+        assert values.tobytes() == want.tobytes()
+        assert dropped == want_dropped
+        if len(want) == 0:
+            with pytest.raises(ValueError):
+                _load_csv(path, column)
+        else:
+            stream, report = _load_csv(path, column)
+            assert stream.samples.tobytes() == want.tobytes()
+            assert (report.kept, report.dropped) == (len(want), want_dropped)
 
 
 def test_decimate_basic():
