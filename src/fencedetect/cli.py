@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -100,6 +101,14 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
             defaulted.add(key)
     if resolved["format"] not in FORMATS:
         raise CliError(f"unknown format {resolved['format']!r}, expected one of {FORMATS}")
+    if not (math.isfinite(resolved["rate"]) and resolved["rate"] > 0):
+        raise CliError(f"rate must be finite and positive, got {resolved['rate']!r}")
+    for key in ("decimate", "window"):
+        if resolved[key] < 1:
+            raise CliError(f"{key} must be at least 1, got {resolved[key]!r}")
+    tolerance = resolved["tolerance"]
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise CliError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     return resolved, defaulted
 
 

@@ -22,6 +22,9 @@ _RAW_DTYPES = {
 
 FORMATS = ("csv", "raw-f32le", "raw-f64le")
 
+# samples per generator pass; bounds every temporary generate_synthetic holds
+SYNTH_CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class SampleStream:
@@ -29,7 +32,6 @@ class SampleStream:
 
     samples: np.ndarray
     sample_rate_hz: float
-    origin_offset_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sample_rate_hz <= 0:
@@ -98,6 +100,10 @@ class SyntheticSpec:
             raise ValueError("duration_s must be positive")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        if not math.isfinite(self.duration_s * self.sample_rate_hz):
+            raise ValueError("duration_s * sample_rate_hz overflows")
+        if self.n_samples < 1:
+            raise ValueError("duration_s is shorter than one sample at sample_rate_hz")
         if self.noise_std_a < 0:
             raise ValueError("noise_std_a must be nonnegative")
         if self.drift_depth < 0:
@@ -116,6 +122,10 @@ class SyntheticSpec:
                 raise ValueError(f"event at {time_s} has a non-finite amplitude")
             normalized.append((time_s, delta, harmonics))
         object.__setattr__(self, "events", tuple(normalized))
+
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s * self.sample_rate_hz))
 
 
 def _looks_numeric(text: str) -> bool:
@@ -275,7 +285,7 @@ def write_waveform(stream: SampleStream, path: str | Path, fmt: str) -> None:
             for value in stream.samples:
                 fh.write(f"{float(value)!r}\n")
     elif fmt in _RAW_DTYPES:
-        stream.samples.astype(_RAW_DTYPES[fmt]).tofile(path)
+        stream.samples.astype(_RAW_DTYPES[fmt], copy=False).tofile(path)
     else:
         raise ValueError(f"unknown waveform format: {fmt!r}")
 
@@ -291,18 +301,15 @@ def decimate(stream: SampleStream, factor: int) -> SampleStream:
     factor = int(factor)
     if factor == 1:
         return stream
-    return SampleStream(
-        stream.samples[::factor].copy(),
-        stream.sample_rate_hz / factor,
-        stream.origin_offset_s,
-    )
+    return SampleStream(stream.samples[::factor].copy(), stream.sample_rate_hz / factor)
 
 
 def _triangle(t: np.ndarray, period_s: float) -> np.ndarray:
     # unit triangle wave in [-1, 1], starting at -1, built in one buffer;
-    # scaling the phase by 4 is exact, so the bits match 4*phase-1 / 3-4*phase
+    # for phase >= 0, phase - floor(phase) has the bits of phase % 1 and is
+    # faster; scaling by 4 is exact, so the bits match 4*phase-1 / 3-4*phase
     phase = t / period_s
-    phase %= 1.0
+    phase -= np.floor(phase)
     phase *= 4.0
     rising = phase < 2.0
     np.subtract(phase, 1.0, out=phase, where=rising)
@@ -328,46 +335,59 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     content per event, optional triangle amplitude drift, and seeded
     Gaussian noise. The same spec (seed included) always produces
     bit-identical output.
+
+    The output is filled ``SYNTH_CHUNK`` samples at a time, so every
+    temporary stays chunk-sized and peak memory is about the output itself.
+    Each sample sees the same float operations in the same order as a
+    whole-array rendering: ``(level * envelope) * sin``, then each harmonic
+    event in spec order, then the noise, drawn in sequence from one
+    generator, so the bytes do not depend on the chunk length.
     """
     rate = spec.sample_rate_hz
-    n = int(round(spec.duration_s * rate))
-
-    # every full-length step works in place and frees what it no longer
-    # needs; the products keep the order (envelope * level) * sin, so the
-    # bits do too
-    t = np.arange(n) / rate
-    envelope = _envelope(t, spec)
-    signal = np.multiply(t, 2.0 * np.pi * spec.mains_hz)
-    del t
-    np.sin(signal, out=signal)
+    n = spec.n_samples
+    omega = 2.0 * np.pi * spec.mains_hz
 
     # piecewise constant between onsets; each segment adds its deltas in spec order
     onsets = [min(int(time_s * rate), n) for time_s, _, _ in spec.events]
     edges = np.array(sorted({0, *onsets}))
+    ends = np.append(edges[1:], n)
     values = np.full(len(edges), spec.base_amplitude_a, dtype=np.float64)
     for onset, (_, delta, _) in zip(onsets, spec.events):
         values[edges >= onset] += delta
-    level = np.repeat(values, np.diff(edges, append=n))
-    level *= envelope
-    del envelope
-    signal *= level
-    del level
 
-    for time_s, delta, harmonics in spec.events:
-        if harmonics:
-            # arange(start, n) / rate has the bits of the full time axis from start on
-            start = int(time_s * rate)
-            t = np.arange(start, n) / rate
-            envelope = _envelope(t, spec)
-            for order, frac in harmonics:
-                tone = np.sin(2.0 * np.pi * order * spec.mains_hz * t)
-                signal[start:] += envelope * frac * delta * tone
+    # (start, delta, [(angular frequency, fraction), ...]) in spec order
+    harmonic_events = [
+        (int(time_s * rate), delta,
+         [(2.0 * np.pi * order * spec.mains_hz, frac) for order, frac in harmonics])
+        for time_s, delta, harmonics in spec.events if harmonics
+    ]
+    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
 
-    if spec.noise_std_a > 0:
-        rng = np.random.default_rng(spec.seed)
-        noise = rng.standard_normal(n)
-        noise *= spec.noise_std_a
-        signal += noise
+    signal = np.empty(n)
+    for a in range(0, n, SYNTH_CHUNK):
+        b = min(a + SYNTH_CHUNK, n)
+        out = signal[a:b]
+        t = np.arange(a, b) / rate
+        envelope = _envelope(t, spec)
+
+        # segments overlapping [a, b), each clipped to the chunk
+        first = int(np.searchsorted(edges, a, side="right")) - 1
+        last = int(np.searchsorted(edges, b, side="left"))
+        lengths = np.minimum(ends[first:last], b) - np.maximum(edges[first:last], a)
+        np.multiply(np.repeat(values[first:last], lengths), envelope, out=out)
+        tone = np.multiply(t, omega)
+        out *= np.sin(tone, out=tone)
+
+        for start, delta, tones in harmonic_events:
+            if start < b:
+                s = max(start, a) - a
+                for w, frac in tones:
+                    out[s:] += envelope[s:] * frac * delta * np.sin(w * t[s:])
+
+        if rng is not None:
+            noise = rng.standard_normal(b - a)
+            noise *= spec.noise_std_a
+            out += noise
 
     truth = sorted(
         (GroundTruthEvent(time_s, "on" if delta > 0 else "off")

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,33 @@ GOLDEN_ROWS = {
     "step_128.events": "0aee7a4733e803773b61f08982c5d9a5fedf7a65b4fe40a9cdcedad494f3db06",
     "step_128.verdicts": "b7c2a86e2a6058364555c18480ffa9dc02e21876d8d8ff9e7ab97bcba5c6a4bc",
 }
+
+
+# sha256 of the 10-minute acceptance stream's float64 bytes, as rendered
+# by the whole-array generator before it worked in chunks
+TEN_MINUTE_STREAM_SHA256 = "d42c1e20725538ba2deb851c9f6ca430d4b7710961b2858793546c9a3fa67437"
+
+
+def test_ten_minute_stream_matches_recorded_digest():
+    stream, _ = generate_synthetic(_ten_minute_spec())
+    digest = hashlib.sha256(stream.samples.tobytes()).hexdigest()
+    _report("ten-minute stream matches recorded digest", digest == TEN_MINUTE_STREAM_SHA256)
+    assert digest == TEN_MINUTE_STREAM_SHA256
+
+
+def test_generator_peak_memory_is_about_its_output():
+    spec = _ten_minute_spec()
+    margin = 16 * 2**20
+    tracemalloc.start()
+    try:
+        stream, _ = generate_synthetic(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ok = peak <= stream.samples.nbytes + margin
+    _report("generator peak memory", ok,
+            f"peak={peak / 2**20:.1f} MiB output={stream.samples.nbytes / 2**20:.1f} MiB")
+    assert ok
 
 
 def _rows_sha256(path) -> str:

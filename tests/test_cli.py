@@ -50,7 +50,8 @@ def test_synth_zero_duration_fails(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [("--duration", "-1"), ("--noise-std", "-0.1"),
                                      ("--event", "10:0.5"), ("--drift-period", "0"),
                                      ("--duration", "nan"), ("--noise-std", "nan"),
-                                     ("--drift-depth", "inf"), ("--event", "1:nan")])
+                                     ("--drift-depth", "inf"), ("--event", "1:nan"),
+                                     ("--duration", "1e-9"), ("--duration", "1e308")])
 def test_synth_bad_setting_exits_2(tmp_path, capsys, setting):
     argv = ["synth", "--duration", "10", "--out", str(tmp_path / "w.f64"),
             "--truth", str(tmp_path / "t.csv"), *setting]
@@ -109,6 +110,31 @@ def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting
         argv += ["--truth", str(tmp_path / "missing.csv"), "--param", param, "--values", value]
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [("--rate", "nan"), ("--rate", "inf"), ("--rate", "0"),
+                                     ("--rate", "-6000"), ("--decimate", "0"),
+                                     ("--decimate", "-1"), ("--window", "0"),
+                                     ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                     ("--tolerance", "-0.5")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["detect", "eval", "sweep"])
+def test_bad_shared_setting_rejected_before_loading(tmp_path, capsys, command, source, setting):
+    # inputs that do not exist: the setting error must win over the read error
+    argv = [command, "--input", str(tmp_path / "missing")]
+    if command != "detect":
+        argv += ["--truth", str(tmp_path / "missing.csv")]
+    if command == "sweep":
+        argv += ["--param", "k", "--values", "0.5"]
+    if source == "flag":
+        argv += list(setting)
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{setting[0][2:]} = {setting[1]}\n")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting[0][2:] in err
 
 
 @settings(max_examples=25, deadline=None,

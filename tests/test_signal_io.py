@@ -2,7 +2,7 @@ import locale
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fencedetect import signal_io
@@ -367,3 +367,72 @@ def test_synthetic_level_matches_per_event_loop(duration_s, rate, base, events):
     t = np.arange(n) / rate
     expected = np.ones(n) * level * np.sin(2.0 * np.pi * spec.mains_hz * t)
     assert stream.samples.tobytes() == expected.tobytes()
+
+
+def _reference_synthetic(spec):
+    """Whole-array rendering: each stage runs once over the full time axis."""
+    rate = spec.sample_rate_hz
+    n = int(round(spec.duration_s * rate))
+    t = np.arange(n) / rate
+
+    def envelope(t):
+        if spec.drift_depth == 0:
+            return np.ones(len(t))
+        phase = 4.0 * (t / spec.drift_period_s % 1.0)
+        return 1.0 + spec.drift_depth * np.where(phase < 2.0, phase - 1.0, 3.0 - phase)
+
+    level = np.full(n, spec.base_amplitude_a)
+    for time_s, delta, _ in spec.events:
+        level[int(time_s * rate):] += delta
+    signal = level * envelope(t) * np.sin(2.0 * np.pi * spec.mains_hz * t)
+    for time_s, delta, harmonics in spec.events:
+        start = int(time_s * rate)
+        for order, frac in harmonics:
+            tone = np.sin(2.0 * np.pi * order * spec.mains_hz * t[start:])
+            signal[start:] += envelope(t[start:]) * frac * delta * tone
+    if spec.noise_std_a > 0:
+        signal += spec.noise_std_a * np.random.default_rng(spec.seed).standard_normal(n)
+    return signal
+
+
+@st.composite
+def _synthetic_specs(draw, max_samples):
+    rate = draw(st.sampled_from([997.0, 6000.0, 12000.0]))
+    # lengths off the sample grid, and seldom a chunk multiple
+    duration_s = (draw(st.integers(1, max_samples)) + draw(st.floats(-0.4, 0.4))) / rate
+    harmonics = st.lists(st.tuples(st.integers(1, 9), st.floats(-1.0, 1.0)), max_size=2)
+    events = draw(st.lists(
+        st.tuples(st.floats(0.0, 0.999), st.floats(-1.0, 1.0), harmonics), max_size=6))
+    return SyntheticSpec(
+        duration_s=duration_s, sample_rate_hz=rate,
+        mains_hz=draw(st.sampled_from([50.0, 60.0, 59.97])),
+        base_amplitude_a=draw(st.floats(-2.0, 2.0)),
+        noise_std_a=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        events=tuple((frac * duration_s, delta, h) for frac, delta, h in events),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        drift_depth=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        drift_period_s=draw(st.floats(0.01, 20.0)),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, signal_io.SYNTH_CHUNK])
+def test_chunked_generator_matches_whole_array_reference(monkeypatch, chunk):
+    monkeypatch.setattr(signal_io, "SYNTH_CHUNK", chunk)
+
+    # streams up to three chunks long, so every chunk boundary case shows
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_synthetic_specs(max_samples=3 * chunk + 100))
+    def check(spec):
+        stream, _ = generate_synthetic(spec)
+        assert len(stream) == spec.n_samples
+        assert stream.samples.tobytes() == _reference_synthetic(spec).tobytes()
+
+    check()
+
+
+@example([-0.0, 0.0, 5e-324, 0.5, 1.0, 2.0**52 - 0.5, 2.0**53 + 2.0, 1e300])
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_floor_form_has_the_bits_of_unit_remainder(values):
+    x = np.array(values)
+    assert (x - np.floor(x)).tobytes() == (x % 1.0).tobytes()
