@@ -11,6 +11,7 @@ from .detector import (
     DetectedEvent,
     DetectorConfig,
     TukeyFences,
+    Verdicts,
     WindowVerdict,
     classify_window,
     delta_p,
@@ -59,6 +60,7 @@ __all__ = [
     "SampleStream",
     "SyntheticSpec",
     "TukeyFences",
+    "Verdicts",
     "Window",
     "WindowVerdict",
     "WindowingConfig",

@@ -99,17 +99,22 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
         else:
             resolved[key] = _DEFAULTS.get(key)
             defaulted.add(key)
-    if resolved["format"] not in FORMATS:
-        raise CliError(f"unknown format {resolved['format']!r}, expected one of {FORMATS}")
-    if not (math.isfinite(resolved["rate"]) and resolved["rate"] > 0):
-        raise CliError(f"rate must be finite and positive, got {resolved['rate']!r}")
+    _check_shared(resolved)
+    return resolved, defaulted
+
+
+def _check_shared(rc: dict) -> None:
+    """Reject a bad format, rate, decimate, window or tolerance (exit 2)."""
+    if rc["format"] not in FORMATS:
+        raise CliError(f"unknown format {rc['format']!r}, expected one of {FORMATS}")
+    if not (math.isfinite(rc["rate"]) and rc["rate"] > 0):
+        raise CliError(f"rate must be finite and positive, got {rc['rate']!r}")
     for key in ("decimate", "window"):
-        if resolved[key] < 1:
-            raise CliError(f"{key} must be at least 1, got {resolved[key]!r}")
-    tolerance = resolved["tolerance"]
+        if rc[key] < 1:
+            raise CliError(f"{key} must be at least 1, got {rc[key]!r}")
+    tolerance = rc["tolerance"]
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
         raise CliError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    return resolved, defaulted
 
 
 def _effective(rc: dict) -> dict:
@@ -134,10 +139,19 @@ def _detector_config(rc: dict) -> DetectorConfig:
         raise CliError(str(exc)) from exc
 
 
+def _detected_rate(rc: dict) -> float:
+    """Sample rate of the stream the detector saw: the input rate over decimate."""
+    return rc["rate"] / rc["decimate"]
+
+
 def _default_tolerance(rc: dict) -> float:
     if rc["tolerance"] is not None:
         return rc["tolerance"]
-    return rc["window"] / rc["rate"]
+    return rc["window"] / _detected_rate(rc)
+
+
+# one verdicts row, byte for byte what json.dumps gives for its three keys
+_VERDICT_ROW = '{"window_start": %d, "is_event": %s, "first_outlier_block": %s}\n'
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -175,33 +189,34 @@ def cmd_detect(args: argparse.Namespace) -> int:
     _write_lines(lines, rc["out"])
 
     if args.verdicts:
-        vlines = [header] + [
-            json.dumps({
-                "window_start": v.window_start,
-                "is_event": v.is_event,
-                "first_outlier_block": v.first_outlier_block,
-            })
-            for v in verdicts
-        ]
-        Path(args.verdicts).write_text("".join(l + "\n" for l in vlines))
+        columns = zip(verdicts.window_start.tolist(), verdicts.is_event.tolist(),
+                      verdicts.first_outlier_block.tolist())
+        rows = "".join(
+            _VERDICT_ROW % ((start, "true", first) if flag else (start, "false", "null"))
+            for start, flag, first in columns
+        )
+        Path(args.verdicts).write_text(header + "\n" + rows)
     return 0
 
 
-def _read_events_file(path: str) -> list[DetectedEvent]:
-    events = []
+def _read_events_file(path: str) -> tuple[dict, list[DetectedEvent]]:
+    """The ``{"config": ...}`` header (empty when absent) and the events."""
+    header, events = {}, []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
-        if "sample_index" not in obj:
-            continue  # provenance header
+        if "sample_index" not in obj:  # provenance header
+            if isinstance(obj.get("config"), dict):
+                header = obj["config"]
+            continue
         events.append(DetectedEvent(
             sample_index=int(obj["sample_index"]),
             time_s=float(obj["time_s"]),
             window_span=(int(obj["window_start"]), int(obj["window_start"])),
         ))
-    return events
+    return header, events
 
 
 def _read_verdicts_file(path: str) -> list[WindowVerdict]:
@@ -223,13 +238,26 @@ def _read_verdicts_file(path: str) -> list[WindowVerdict]:
     return verdicts
 
 
+# settings eval reads from the events header when no flag or config file gives them
+_HEADER_GEOMETRY = ("window", "rate", "decimate")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    rc, _ = _resolve(args)
+    rc, defaulted = _resolve(args)
     if not rc["input"]:
         raise CliError("eval needs --input (a detect events file)")
     if not rc["truth"]:
         raise CliError("eval needs --truth")
-    detected = _read_events_file(rc["input"])
+    header, detected = _read_events_file(rc["input"])
+    for key in _HEADER_GEOMETRY:
+        if key in defaulted and key in header:
+            try:
+                rc[key] = _COERCE[key](header[key])
+            except (TypeError, ValueError) as exc:
+                raise CliError(
+                    f"{rc['input']}: bad {key!r} in the config header: {header[key]!r}"
+                ) from exc
+    _check_shared(rc)
     truth = read_ground_truth(rc["truth"])
     tolerance = _default_tolerance(rc)
     match = match_events(detected, truth, tolerance)
@@ -237,7 +265,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.verdicts:
         tn = count_tn(
             _read_verdicts_file(args.verdicts), truth, tolerance,
-            window_len=rc["window"], sample_rate_hz=rc["rate"],
+            window_len=rc["window"], sample_rate_hz=_detected_rate(rc),
         )
     payload = metrics_payload(match, compute_metrics(match, tn))
     payload["config"] = _effective(rc)
@@ -428,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

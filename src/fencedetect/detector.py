@@ -7,12 +7,14 @@ any deviation falls outside the fences. Runs of flagged windows merge into
 single timestamped events.
 
 Each stage accepts one window or a stack of windows along a leading axis;
-``detect`` runs them once per chunk of ``CHUNK_WINDOWS`` consecutive windows.
+``detect`` runs them once per chunk of ``CHUNK_WINDOWS`` consecutive windows
+and keeps the per-window outcomes as columns of one ``Verdicts`` record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,6 +73,59 @@ class WindowVerdict:
     first_outlier_block: int | None
     selection: BinSelection
     fences: TukeyFences
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Every window's outcome and evidence for one run, one array per field.
+
+    Rows are windows in stream order; ``per_bin_delta`` has one column per
+    frequency bin, and ``first_outlier_block`` is -1 where ``is_event`` is
+    False. ``len()`` counts the windows; indexing or iterating gives
+    ``WindowVerdict`` rows.
+    """
+
+    window_start: np.ndarray
+    is_event: np.ndarray
+    first_outlier_block: np.ndarray
+    selected_bin: np.ndarray
+    delta_p: np.ndarray
+    per_bin_delta: np.ndarray
+    q1: np.ndarray
+    q3: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    k: float
+
+    @classmethod
+    def empty(cls, windows: int, bins: int, k: float) -> Verdicts:
+        """Unfilled columns for ``windows`` rows of ``bins`` frequency bins."""
+        def column(dtype=np.float64):
+            return np.empty(windows, dtype)
+
+        return cls(
+            window_start=column(np.int64), is_event=column(bool),
+            first_outlier_block=column(np.int64), selected_bin=column(np.int64),
+            delta_p=column(), per_bin_delta=np.empty((windows, bins)),
+            q1=column(), q3=column(), lo=column(), hi=column(), k=k,
+        )
+
+    def __len__(self) -> int:
+        return len(self.window_start)
+
+    def __getitem__(self, i: int) -> WindowVerdict:
+        flagged = bool(self.is_event[i])
+        return WindowVerdict(
+            int(self.window_start[i]), flagged,
+            int(self.first_outlier_block[i]) if flagged else None,
+            BinSelection(int(self.selected_bin[i]), float(self.delta_p[i]),
+                         self.per_bin_delta[i]),
+            TukeyFences(float(self.q1[i]), float(self.q3[i]), self.k,
+                        float(self.lo[i]), float(self.hi[i])),
+        )
+
+    def __iter__(self) -> Iterator[WindowVerdict]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -177,27 +232,9 @@ def classify_window(sigma: np.ndarray, fences: TukeyFences):
     return flagged, first
 
 
-def _chunk_verdicts(chunk: list[Window], cfg: DetectorConfig) -> list[WindowVerdict]:
-    block_len = cfg.windowing.block_len
-    blocks = np.stack([to_block_matrix(w, block_len) for w in chunk])
-    spec = spectrogram(blocks.reshape(-1, block_len)).reshape(blocks.shape[:2] + (-1,))
-    sel = select_bin(spec)
-    sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
-    f = tukey_fences(sigma, cfg.k)
-    flagged, first = classify_window(sigma, f)
-    return [
-        WindowVerdict(
-            w.start_index, bool(flagged[i]), int(first[i]) if flagged[i] else None,
-            BinSelection(int(sel.selected_bin[i]), float(sel.delta_p[i]), sel.per_bin_delta[i]),
-            TukeyFences(float(f.q1[i]), float(f.q3[i]), cfg.k, float(f.lo[i]), float(f.hi[i])),
-        )
-        for i, w in enumerate(chunk)
-    ]
-
-
 def detect(
     stream: SampleStream, cfg: DetectorConfig | None = None
-) -> tuple[list[DetectedEvent], list[WindowVerdict]]:
+) -> tuple[list[DetectedEvent], Verdicts]:
     """Run the full pipeline over a stream.
 
     Consecutive flagged windows are merged into one event; a single clean
@@ -209,25 +246,48 @@ def detect(
     event's window span instead, so sample indices strictly increase.
 
     Returns the merged events and the per-window verdicts, both in stream
-    order. A stream shorter than one window yields two empty lists.
+    order. A stream shorter than one window yields no events and no verdicts.
+
+    With back-to-back windows (step equal to the window length) a chunk's
+    blocks are one view of the stream; other geometries stack a copy.
     """
     if cfg is None:
         cfg = DetectorConfig()
-    all_windows = windows(stream, cfg.windowing)
-    verdicts = []
-    for first in range(0, len(all_windows), CHUNK_WINDOWS):
-        verdicts += _chunk_verdicts(all_windows[first:first + CHUNK_WINDOWS], cfg)
+    wcfg = cfg.windowing
+    all_windows = windows(stream, wcfg)
+    verdicts = Verdicts.empty(len(all_windows), wcfg.block_len // 2 + 1, cfg.k)
+    for i0 in range(0, len(all_windows), CHUNK_WINDOWS):
+        chunk = all_windows[i0:i0 + CHUNK_WINDOWS]
+        if wcfg.step == wcfg.window_len:
+            start = chunk[0].start_index
+            span = stream.samples[start:start + len(chunk) * wcfg.window_len]
+            blocks = to_block_matrix(Window(start, span), wcfg.block_len)
+        else:
+            blocks = np.stack([to_block_matrix(w, wcfg.block_len) for w in chunk])
+            blocks = blocks.reshape(-1, wcfg.block_len)
+        spec = spectrogram(blocks).reshape(len(chunk), wcfg.blocks_per_window, -1)
+        sel = select_bin(spec)
+        sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
+        f = tukey_fences(sigma, cfg.k)
+        flagged, first = classify_window(sigma, f)
+        columns = {
+            "window_start": [w.start_index for w in chunk],
+            "is_event": flagged, "first_outlier_block": np.where(flagged, first, -1),
+            "selected_bin": sel.selected_bin, "delta_p": sel.delta_p,
+            "per_bin_delta": sel.per_bin_delta, "q1": f.q1, "q3": f.q3, "lo": f.lo, "hi": f.hi,
+        }
+        for name, values in columns.items():
+            getattr(verdicts, name)[i0:i0 + len(chunk)] = values
 
     events: list[DetectedEvent] = []
-    in_run = False
-    for verdict in verdicts:
-        if verdict.is_event:
-            index = verdict.window_start + verdict.first_outlier_block * cfg.windowing.block_len
-            if in_run or (events and index <= events[-1].sample_index):
-                span = (events[-1].window_span[0], verdict.window_start)
-                events[-1] = replace(events[-1], window_span=span)
-            else:
-                span = (verdict.window_start, verdict.window_start)
-                events.append(DetectedEvent(index, index / stream.sample_rate_hz, span))
-        in_run = verdict.is_event
+    flagged_at = np.flatnonzero(verdicts.is_event)
+    previous = -2
+    for i, start, first in zip(flagged_at.tolist(), verdicts.window_start[flagged_at].tolist(),
+                               verdicts.first_outlier_block[flagged_at].tolist()):
+        index = start + first * wcfg.block_len
+        if i == previous + 1 or (events and index <= events[-1].sample_index):
+            events[-1] = replace(events[-1], window_span=(events[-1].window_span[0], start))
+        else:
+            events.append(DetectedEvent(index, index / stream.sample_rate_hz, (start, start)))
+        previous = i
     return events, verdicts

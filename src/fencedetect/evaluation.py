@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .detector import DetectedEvent, WindowVerdict
@@ -110,7 +111,7 @@ def compute_metrics(match: MatchResult, tn: int = 0) -> Metrics:
 
 
 def count_tn(
-    verdicts: list[WindowVerdict],
+    verdicts: Iterable[WindowVerdict],
     truth: list[GroundTruthEvent],
     tolerance_s: float,
     window_len: int = 6016,

@@ -225,6 +225,23 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     return _parse_csv_lines(path.read_text(), column)
 
 
+def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """Map a headerless raw file read-only; a trailing partial sample is ignored.
+
+    A clean float64 file comes back as a read-only view of the mapping, not
+    a copy. Float32 converts once. Non-finite samples are counted on the
+    mapping and, when there are any, leave a compacted copy.
+    """
+    count = path.stat().st_size // dtype.itemsize
+    if count == 0:
+        return np.empty(0), 0  # np.memmap refuses a zero-length map
+    mapped = np.memmap(path, dtype=dtype, mode="r", shape=(count,))
+    raw = np.asarray(mapped).astype(np.float64, copy=False)
+    finite = np.isfinite(raw)
+    dropped = count - int(np.count_nonzero(finite))
+    return (raw[finite] if dropped else raw), dropped
+
+
 def read_waveform(
     path: str | Path, fmt: str, sample_rate_hz: float
 ) -> tuple[SampleStream, LoadReport]:
@@ -239,7 +256,9 @@ def read_waveform(
 
     Returns:
         The stream plus a report counting dropped (non-finite or
-        unparseable) entries.
+        unparseable) entries. Raw files are memory-mapped read-only; a
+        clean ``raw-f64le`` file's samples are a read-only view of the
+        mapping, not a copy.
 
     Raises:
         ValueError: unknown format or no valid samples.
@@ -249,10 +268,7 @@ def read_waveform(
     if fmt == "csv":
         samples, dropped = _read_csv_column(path, None)
     elif fmt in _RAW_DTYPES:
-        raw = np.fromfile(path, dtype=_RAW_DTYPES[fmt]).astype(np.float64, copy=False)
-        finite = np.isfinite(raw)
-        dropped = raw.size - int(np.count_nonzero(finite))
-        samples = raw[finite] if dropped else raw
+        samples, dropped = _map_raw(path, _RAW_DTYPES[fmt])
     else:
         raise ValueError(f"unknown waveform format: {fmt!r}")
     if len(samples) == 0:

@@ -322,3 +322,95 @@ def test_bled_layout_defaults_to_12khz_decimated(tmp_path):
     events = _event_lines(out)
     assert len(events) == 1
     assert abs(events[0]["time_s"] - 2.5) < 6016 / 6000
+
+
+def test_memory_error_exits_1_without_traceback(tmp_path, capsys):
+    # 6e15 samples: numpy refuses the output array at once
+    rc = cli.main(["synth", "--duration", "1e12", "--out", str(tmp_path / "w.f64"),
+                   "--truth", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt, size", [("raw-f64le", 0), ("raw-f64le", 7),
+                                       ("raw-f32le", 0), ("raw-f32le", 3)])
+def test_detect_raw_shorter_than_one_sample_exits_1(tmp_path, capsys, fmt, size):
+    wave = tmp_path / "w.raw"
+    wave.write_bytes(b"\x00" * size)
+    assert cli.main(["detect", "--input", str(wave), "--format", fmt]) == 1
+    assert "no valid samples" in capsys.readouterr().err
+
+
+def test_detect_may_write_events_over_its_mapped_input(tmp_path):
+    wave, _ = _synth(tmp_path)
+    separate = _detect(wave, tmp_path / "events.jsonl")
+    _detect(wave, wave)
+    assert wave.read_text().splitlines()[1:] == separate.read_text().splitlines()[1:]
+    assert _event_lines(wave)
+
+
+def _eval_payload(capsys, argv):
+    assert cli.main(["eval", *argv]) == 0
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_eval_takes_window_from_the_events_header(tmp_path, capsys):
+    from fencedetect.evaluation import count_tn
+    from fencedetect.signal_io import read_ground_truth
+
+    wave, truth = _synth(tmp_path)
+    verdicts = tmp_path / "verdicts.jsonl"
+    events = _detect(wave, tmp_path / "events.jsonl",
+                     extra=("--window", "3008", "--block", "64", "--verdicts", str(verdicts)))
+    inputs = ["--input", str(events), "--truth", str(truth), "--verdicts", str(verdicts)]
+    payload = _eval_payload(capsys, inputs)
+    assert payload["tolerance_s"] == 3008 / 6000
+    assert payload["config"]["window"] == 3008
+    expected_tn = count_tn(cli._read_verdicts_file(str(verdicts)), read_ground_truth(truth),
+                           3008 / 6000, window_len=3008, sample_rate_hz=6000.0)
+    assert payload["tn"] == expected_tn
+    # a flag still wins over the header
+    assert _eval_payload(capsys, inputs + ["--window", "3008"]) == payload
+    assert _eval_payload(capsys, inputs + ["--window", "6016"])["tolerance_s"] == 6016 / 6000
+
+
+def test_eval_after_bled_layout_uses_the_decimated_rate(tmp_path, capsys):
+    import numpy as np
+    from fencedetect.signal_io import SyntheticSpec, generate_synthetic, write_ground_truth
+
+    spec = SyntheticSpec(duration_s=6.0, noise_std_a=0.01, events=((2.5, 1.0),), seed=6,
+                         sample_rate_hz=12000.0, drift_depth=0.05)
+    stream, truth_events = generate_synthetic(spec)
+    n = len(stream.samples)
+    path = tmp_path / "phases.csv"
+    with open(path, "w") as fh:
+        fh.write("X_Value,Current_A,Current_B,VoltageA\n")
+        np.savetxt(fh, np.column_stack([np.arange(n) / 12000.0, np.zeros(n),
+                                        stream.samples, np.full(n, 120.0)]),
+                   fmt="%.8g", delimiter=",")
+    truth = tmp_path / "truth.csv"
+    write_ground_truth(truth_events, truth)
+    events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"
+    assert cli.main(["detect", "--input", str(path), "--bled-layout", "b",
+                     "--out", str(events), "--verdicts", str(verdicts)]) == 0
+    inputs = ["--input", str(events), "--truth", str(truth), "--verdicts", str(verdicts)]
+    payload = _eval_payload(capsys, inputs)
+    assert (payload["config"]["rate"], payload["config"]["decimate"]) == (12000.0, 2)
+    assert payload["tolerance_s"] == 6016 / 6000
+    assert payload["tp"] == 1 and payload["tn"] > 0
+    # the same scores as naming the detected stream's own rate
+    explicit = _eval_payload(capsys, inputs + ["--rate", "6000", "--decimate", "1"])
+    assert {k: v for k, v in explicit.items() if k != "config"} == \
+           {k: v for k, v in payload.items() if k != "config"}
+
+
+@pytest.mark.parametrize("value", ['"fast"', "null", "0", "-3"])
+def test_eval_rejects_bad_header_geometry(tmp_path, capsys, value):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"config": {"window": %s}}\n' % value)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("1.0\n")
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 2
+    assert "window" in capsys.readouterr().err

@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fencedetect import detector
 from fencedetect.detector import (
+    DetectedEvent,
     DetectorConfig,
+    WindowVerdict,
     classify_window,
     delta_p,
     detect,
@@ -15,7 +21,8 @@ from fencedetect.detector import (
     tukey_fences,
 )
 from fencedetect.signal_io import SampleStream, SyntheticSpec, generate_synthetic
-from fencedetect.windowing import WindowingConfig
+from fencedetect.spectral import spectrogram
+from fencedetect.windowing import WindowingConfig, to_block_matrix, windows
 
 
 def _spectrogram_like(rows=47, cols=65, fill=0.0):
@@ -256,7 +263,7 @@ def test_detect_deterministic():
 def test_detect_short_stream_is_empty_not_error():
     stream = SampleStream(np.zeros(100), 6000.0)
     events, verdicts = detect(stream)
-    assert events == [] and verdicts == []
+    assert events == [] and len(verdicts) == 0
 
 
 def test_detect_events_strictly_increasing_and_spans_merged():
@@ -284,3 +291,94 @@ def test_detector_config_validation():
         DetectorConfig(std_window=1)
     with pytest.raises(ValueError):
         DetectorConfig(std_window=48, windowing=WindowingConfig())
+
+
+def _reference_detect(stream, cfg):
+    """The stages one window at a time, each verdict a WindowVerdict, then the run merge."""
+    block_len = cfg.windowing.block_len
+    verdicts = []
+    for w in windows(stream, cfg.windowing):
+        spec = spectrogram(to_block_matrix(w, block_len))
+        sel = select_bin(spec)
+        sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
+        fences = tukey_fences(sigma, cfg.k)
+        flagged, first = classify_window(sigma, fences)
+        verdicts.append(WindowVerdict(w.start_index, flagged, first, sel, fences))
+    events = []
+    in_run = False
+    for v in verdicts:
+        if v.is_event:
+            index = v.window_start + v.first_outlier_block * block_len
+            if in_run or (events and index <= events[-1].sample_index):
+                span = (events[-1].window_span[0], v.window_start)
+                events[-1] = replace(events[-1], window_span=span)
+            else:
+                span = (v.window_start, v.window_start)
+                events.append(DetectedEvent(index, index / stream.sample_rate_hz, span))
+        in_run = v.is_event
+    return events, verdicts
+
+
+@st.composite
+def _stepped_runs(draw):
+    block = draw(st.sampled_from([8, 16, 32]))
+    blocks = draw(st.integers(4, 10))
+    window = block * blocks
+    step = draw(st.one_of(
+        st.just(window),                                      # back to back
+        st.integers(1, blocks - 1).map(lambda b: b * block),  # overlap, block-aligned
+        st.integers(1, window - 1),                           # overlap, any offset
+        st.integers(window + 1, 3 * window),                  # gaps between windows
+    ))
+    cfg = DetectorConfig(
+        k=draw(st.sampled_from([0.0, 0.5, 1.5])),
+        std_window=draw(st.integers(2, min(blocks, 6))),
+        windowing=WindowingConfig(window_len=window, step=step, block_len=block),
+    )
+    n = draw(st.integers(0, 12 * window))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = np.ones(n)
+    for onset, delta in zip(rng.integers(0, max(n, 1), 4), rng.uniform(-1.0, 1.0, 4)):
+        level[onset:] += delta
+    samples = level * np.sin(2 * np.pi * np.arange(n) / 17.0)
+    samples += draw(st.sampled_from([0.0, 1e-3, 0.2])) * rng.standard_normal(n)
+    return SampleStream(samples, 6000.0), cfg
+
+
+@pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
+def test_columns_match_per_window_reference(monkeypatch, chunk):
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=_stepped_runs())
+    def check(run):
+        stream, cfg = run
+        events, verdicts = detect(stream, cfg)
+        expected_events, rows = _reference_detect(stream, cfg)
+        assert events == expected_events
+        assert len(verdicts) == len(rows)
+        expected = {
+            "window_start": [v.window_start for v in rows],
+            "is_event": [v.is_event for v in rows],
+            "first_outlier_block": [-1 if v.first_outlier_block is None
+                                    else v.first_outlier_block for v in rows],
+            "selected_bin": [v.selection.selected_bin for v in rows],
+            "delta_p": [v.selection.delta_p for v in rows],
+            "per_bin_delta": [v.selection.per_bin_delta for v in rows],
+            "q1": [v.fences.q1 for v in rows],
+            "q3": [v.fences.q3 for v in rows],
+            "lo": [v.fences.lo for v in rows],
+            "hi": [v.fences.hi for v in rows],
+        }
+        for name, values in expected.items():
+            column = getattr(verdicts, name)
+            want = np.array(values, dtype=column.dtype).reshape(column.shape)
+            assert column.tobytes() == want.tobytes(), name
+        # the rows the record iterates as are the reference's rows
+        for got, want in zip(verdicts, rows):
+            assert (got.window_start, got.is_event, got.first_outlier_block) == (
+                want.window_start, want.is_event, want.first_outlier_block)
+            assert got.fences == want.fences
+            assert got.selection.per_bin_delta.tobytes() == want.selection.per_bin_delta.tobytes()
+
+    check()

@@ -54,7 +54,10 @@ def test_raw_f32_sample_count(tmp_path):
     assert len(stream) == 6
 
 
-@pytest.mark.parametrize("fmt, dtype", [("raw-f32le", "<f4"), ("raw-f64le", "<f8")])
+RAW_FORMATS = [("raw-f32le", "<f4"), ("raw-f64le", "<f8")]
+
+
+@pytest.mark.parametrize("fmt, dtype", RAW_FORMATS)
 def test_raw_drops_non_finite_and_counts(tmp_path, fmt, dtype):
     path = tmp_path / "wave.raw"
     np.array([1.0, np.nan, 2.0, np.inf, -np.inf, 3.0], dtype=dtype).tofile(path)
@@ -62,6 +65,34 @@ def test_raw_drops_non_finite_and_counts(tmp_path, fmt, dtype):
     assert stream.samples.dtype == np.float64
     assert stream.samples.tolist() == [1.0, 2.0, 3.0]
     assert (report.kept, report.dropped) == (3, 3)
+    assert stream.samples.flags.owndata  # a compacted copy, not the mapping
+
+
+@pytest.mark.parametrize("fmt, dtype", RAW_FORMATS)
+def test_raw_trailing_partial_sample_is_ignored(tmp_path, fmt, dtype):
+    path = tmp_path / "wave.raw"
+    path.write_bytes(np.array([1.0, 2.0, 3.0], dtype=dtype).tobytes() + b"\x01\x02\x03")
+    stream, report = read_waveform(path, fmt, 6000.0)
+    assert stream.samples.tolist() == [1.0, 2.0, 3.0]
+    assert (report.kept, report.dropped) == (3, 0)
+
+
+@pytest.mark.parametrize("fmt, dtype", RAW_FORMATS)
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_raw_shorter_than_one_sample_has_no_valid_samples(tmp_path, fmt, dtype, size):
+    path = tmp_path / "wave.raw"
+    path.write_bytes(b"\x00" * size)
+    with pytest.raises(ValueError, match="no valid samples"):
+        read_waveform(path, fmt, 6000.0)
+
+
+def test_clean_raw_f64_is_a_read_only_view_of_the_file(tmp_path):
+    path = tmp_path / "wave.f64"
+    np.arange(8.0).tofile(path)
+    stream, _ = read_waveform(path, "raw-f64le", 6000.0)
+    assert isinstance(stream.samples.base, np.memmap)
+    assert not stream.samples.flags.writeable
+    assert stream.samples.tolist() == list(range(8))
 
 
 def test_zero_valid_samples_rejected(tmp_path):
