@@ -7,13 +7,19 @@ any deviation falls outside the fences. Runs of flagged windows merge into
 single timestamped events.
 
 Each stage accepts one window or a stack of windows along a leading axis;
-``detect`` runs them once per chunk of ``CHUNK_WINDOWS`` consecutive windows
-and keeps the per-window outcomes as columns of one ``Verdicts`` record.
+``detect`` runs them once per chunk of consecutive windows and keeps the
+per-window outcomes as columns of one ``Verdicts`` record. Chunks run on one
+thread per CPU the process may use, the caller included, with no setting;
+each writes only its own rows, so the bytes are the same for any thread
+count. The chunk size shrinks with the thread count, so at most
+``CHUNK_WINDOWS`` windows are in flight at once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +29,7 @@ from .signal_io import SampleStream
 from .spectral import spectrogram
 from .windowing import Window, WindowingConfig, to_block_matrix, windows
 
-# windows per batched pass; bounds the stacked blocks and spectra held at once
+# windows in flight at once over all threads; bounds the blocks and spectra held
 CHUNK_WINDOWS = 256
 
 
@@ -232,6 +238,44 @@ def classify_window(sigma: np.ndarray, fences: TukeyFences):
     return flagged, first
 
 
+def _workers() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_rows(verdicts: Verdicts, i0: int, chunk: list[Window],
+               stream: SampleStream, cfg: DetectorConfig) -> None:
+    """Run the stages over consecutive windows; write rows ``i0..`` of ``verdicts``.
+
+    With back-to-back windows (step equal to the window length) the chunk's
+    blocks are one view of the stream; other geometries stack a copy.
+    """
+    wcfg = cfg.windowing
+    if wcfg.step == wcfg.window_len:
+        start = chunk[0].start_index
+        span = stream.samples[start:start + len(chunk) * wcfg.window_len]
+        blocks = to_block_matrix(Window(start, span), wcfg.block_len)
+    else:
+        blocks = np.stack([to_block_matrix(w, wcfg.block_len) for w in chunk])
+        blocks = blocks.reshape(-1, wcfg.block_len)
+    spec = spectrogram(blocks).reshape(len(chunk), wcfg.blocks_per_window, -1)
+    sel = select_bin(spec)
+    sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
+    f = tukey_fences(sigma, cfg.k)
+    flagged, first = classify_window(sigma, f)
+    columns = {
+        "window_start": [w.start_index for w in chunk],
+        "is_event": flagged, "first_outlier_block": np.where(flagged, first, -1),
+        "selected_bin": sel.selected_bin, "delta_p": sel.delta_p,
+        "per_bin_delta": sel.per_bin_delta, "q1": f.q1, "q3": f.q3, "lo": f.lo, "hi": f.hi,
+    }
+    for name, values in columns.items():
+        getattr(verdicts, name)[i0:i0 + len(chunk)] = values
+
+
 def detect(
     stream: SampleStream, cfg: DetectorConfig | None = None
 ) -> tuple[list[DetectedEvent], Verdicts]:
@@ -248,36 +292,46 @@ def detect(
     Returns the merged events and the per-window verdicts, both in stream
     order. A stream shorter than one window yields no events and no verdicts.
 
-    With back-to-back windows (step equal to the window length) a chunk's
-    blocks are one view of the stream; other geometries stack a copy.
+    Windows are analysed in chunks on one thread per CPU this process may
+    use: the calling thread and a pool thread for each further CPU take the
+    next chunk in turn until none is left. Each chunk writes only its own
+    rows, and the run merge waits for all of them, so the output does not
+    depend on the thread count. A chunk holds ``CHUNK_WINDOWS // threads``
+    windows (at least one), so at most ``CHUNK_WINDOWS`` windows' blocks and
+    spectra are held at once. After a failure no thread takes a further
+    chunk, and the error is raised once every thread has stopped.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
     if cfg is None:
         cfg = DetectorConfig()
     wcfg = cfg.windowing
     all_windows = windows(stream, wcfg)
     verdicts = Verdicts.empty(len(all_windows), wcfg.block_len // 2 + 1, cfg.k)
-    for i0 in range(0, len(all_windows), CHUNK_WINDOWS):
-        chunk = all_windows[i0:i0 + CHUNK_WINDOWS]
-        if wcfg.step == wcfg.window_len:
-            start = chunk[0].start_index
-            span = stream.samples[start:start + len(chunk) * wcfg.window_len]
-            blocks = to_block_matrix(Window(start, span), wcfg.block_len)
-        else:
-            blocks = np.stack([to_block_matrix(w, wcfg.block_len) for w in chunk])
-            blocks = blocks.reshape(-1, wcfg.block_len)
-        spec = spectrogram(blocks).reshape(len(chunk), wcfg.blocks_per_window, -1)
-        sel = select_bin(spec)
-        sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
-        f = tukey_fences(sigma, cfg.k)
-        flagged, first = classify_window(sigma, f)
-        columns = {
-            "window_start": [w.start_index for w in chunk],
-            "is_event": flagged, "first_outlier_block": np.where(flagged, first, -1),
-            "selected_bin": sel.selected_bin, "delta_p": sel.delta_p,
-            "per_bin_delta": sel.per_bin_delta, "q1": f.q1, "q3": f.q3, "lo": f.lo, "hi": f.hi,
-        }
-        for name, values in columns.items():
-            getattr(verdicts, name)[i0:i0 + len(chunk)] = values
+    workers = _workers()
+    per_task = max(1, CHUNK_WINDOWS // workers)
+    starts = range(0, len(all_windows), per_task)
+    pending, taking, failed = iter(starts), threading.Lock(), threading.Event()
+
+    def drain() -> None:
+        while True:
+            with taking:
+                i0 = None if failed.is_set() else next(pending, None)
+            if i0 is None:
+                return
+            try:
+                _fill_rows(verdicts, i0, all_windows[i0:i0 + per_task], stream, cfg)
+            except BaseException:
+                failed.set()
+                raise
+
+    # one thread per CPU and at most one per chunk; the caller is one of them
+    helpers = min(workers, len(starts)) - 1
+    with ThreadPoolExecutor(max(1, helpers)) as pool:  # joins the helpers on exit
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
 
     events: list[DetectedEvent] = []
     flagged_at = np.flatnonzero(verdicts.is_event)

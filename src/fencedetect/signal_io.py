@@ -416,18 +416,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
 def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
     """Read a ``time_s[,label]`` CSV, sorted ascending by time.
 
-    Blank lines and ``#`` comment lines are skipped; a non-numeric first row
-    is treated as a header. Duplicate timestamps are preserved.
+    Blank lines and ``#`` comment lines are skipped; the first other row is
+    treated as a header when its time field is not numeric. Duplicate
+    timestamps are preserved.
     """
     path = Path(path)
     events: list[GroundTruthEvent] = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or not "".join(row).strip():
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if i == 0 and not _looks_numeric(row[0]):
+        rows = ((i, row) for i, row in enumerate(csv.reader(fh))
+                if "".join(row).strip() and not row[0].lstrip().startswith("#"))
+        for n, (i, row) in enumerate(rows):
+            if n == 0 and not _looks_numeric(row[0]):
                 continue  # header
             try:
                 time_s = float(row[0])

@@ -10,11 +10,12 @@ import json
 import math
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fencedetect import cli
+from fencedetect import cli, detector
 from fencedetect.detector import (
     classify_window,
     detect,
@@ -323,6 +324,41 @@ def test_generator_peak_memory_is_about_its_output():
     ok = peak <= stream.samples.nbytes + margin
     _report("generator peak memory", ok,
             f"peak={peak / 2**20:.1f} MiB output={stream.samples.nbytes / 2**20:.1f} MiB")
+    assert ok
+
+
+def test_ten_minute_output_is_the_same_on_one_and_two_threads(monkeypatch):
+    stream, _ = generate_synthetic(_ten_minute_spec())
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(detector, "_workers", lambda: workers)
+        runs.append(detect(stream))
+    (events_1, verdicts_1), (events_2, verdicts_2) = runs
+    differing = [f.name for f in fields(verdicts_1)
+                 if np.asarray(getattr(verdicts_1, f.name)).tobytes()
+                 != np.asarray(getattr(verdicts_2, f.name)).tobytes()]
+    ok = events_1 == events_2 and not differing and len(events_1) >= 50
+    _report("same output on 1 and 2 threads", ok,
+            f"events={len(events_1)}/{len(events_2)} "
+            f"differing columns: {', '.join(differing) or 'none'}")
+    assert ok
+
+
+def test_detect_peak_memory_does_not_grow_with_threads(monkeypatch):
+    """Two threads hold no more chunk data at once than one thread does."""
+    stream, _ = generate_synthetic(_ten_minute_spec())
+    peaks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(detector, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            detect(stream)
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    ok = peaks[2] <= peaks[1] + 2**20
+    _report("detect peak memory on 2 threads", ok,
+            f"1 thread {peaks[1] / 2**20:.1f} MiB, 2 threads {peaks[2] / 2**20:.1f} MiB")
     assert ok
 
 

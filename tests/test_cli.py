@@ -1,10 +1,12 @@
+import itertools
 import json
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fencedetect import cli
+from fencedetect import cli, detector
 
 
 def _synth(tmp_path, name="wave", seed=1, events=("4.5:0.8",), extra=()):
@@ -332,6 +334,29 @@ def test_memory_error_exits_1_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    wave, _ = _synth(tmp_path)
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", 2)
+    monkeypatch.setattr(detector, "_workers", lambda: 2)
+    calls = itertools.count()
+    spectrogram = detector.spectrogram
+
+    def failing(blocks):
+        if next(calls) >= 2:  # a later chunk
+            raise MemoryError("cannot allocate the spectra")
+        return spectrogram(blocks)
+
+    monkeypatch.setattr(detector, "spectrogram", failing)
+    events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"
+    before = threading.active_count()
+    rc = cli.main(["detect", "--input", str(wave), "--format", "raw-f64le",
+                   "--out", str(events), "--verdicts", str(verdicts)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot allocate the spectra\n"
+    assert not events.exists() and not verdicts.exists()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("fmt, size", [("raw-f64le", 0), ("raw-f64le", 7),

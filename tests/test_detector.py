@@ -1,5 +1,9 @@
+import itertools
 import math
-from dataclasses import replace
+import sys
+import threading
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -347,16 +351,14 @@ def _stepped_runs(draw):
 
 @pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
 def test_columns_match_per_window_reference(monkeypatch, chunk):
+    """Each example runs on 1, 2 and 3 worker threads against the one reference."""
     monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
 
     @settings(max_examples=60, deadline=None)
     @given(run=_stepped_runs())
     def check(run):
         stream, cfg = run
-        events, verdicts = detect(stream, cfg)
         expected_events, rows = _reference_detect(stream, cfg)
-        assert events == expected_events
-        assert len(verdicts) == len(rows)
         expected = {
             "window_start": [v.window_start for v in rows],
             "is_event": [v.is_event for v in rows],
@@ -370,15 +372,98 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
             "lo": [v.fences.lo for v in rows],
             "hi": [v.fences.hi for v in rows],
         }
-        for name, values in expected.items():
-            column = getattr(verdicts, name)
-            want = np.array(values, dtype=column.dtype).reshape(column.shape)
-            assert column.tobytes() == want.tobytes(), name
-        # the rows the record iterates as are the reference's rows
-        for got, want in zip(verdicts, rows):
-            assert (got.window_start, got.is_event, got.first_outlier_block) == (
-                want.window_start, want.is_event, want.first_outlier_block)
-            assert got.fences == want.fences
-            assert got.selection.per_bin_delta.tobytes() == want.selection.per_bin_delta.tobytes()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(detector, "_workers", lambda: workers)
+            events, verdicts = detect(stream, cfg)
+            assert events == expected_events, workers
+            assert len(verdicts) == len(rows)
+            for name, values in expected.items():
+                column = getattr(verdicts, name)
+                want = np.array(values, dtype=column.dtype).reshape(column.shape)
+                assert column.tobytes() == want.tobytes(), (name, workers)
+            # the rows the record iterates as are the reference's rows
+            for got, want in zip(verdicts, rows):
+                assert (got.window_start, got.is_event, got.first_outlier_block) == (
+                    want.window_start, want.is_event, want.first_outlier_block)
+                assert got.fences == want.fences
+                assert (got.selection.per_bin_delta.tobytes()
+                        == want.selection.per_bin_delta.tobytes())
 
     check()
+
+
+def test_many_threads_with_fast_switching_write_every_row_once(monkeypatch):
+    spec = SyntheticSpec(duration_s=60.0, noise_std_a=0.01, seed=4,
+                         events=((5.0, 1.0), (21.0, -0.6), (40.0, 0.4)))
+    stream, _ = generate_synthetic(spec)
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", 8)
+    monkeypatch.setattr(detector, "_workers", lambda: 1)
+    events, verdicts = detect(stream)
+    monkeypatch.setattr(detector, "_workers", lambda: 8)  # one window per task
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        for _ in range(5):
+            again_events, again = detect(stream)
+            assert again_events == events
+            for f in fields(verdicts):
+                assert (np.asarray(getattr(again, f.name)).tobytes()
+                        == np.asarray(getattr(verdicts, f.name)).tobytes()), f.name
+        assert time.perf_counter() - started < 30.0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_failure_surfaces_and_leaves_no_thread(monkeypatch):
+    spec = SyntheticSpec(duration_s=30.0, noise_std_a=0.01, events=((5.0, 1.0),), seed=0)
+    stream, _ = generate_synthetic(spec)
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", 4)
+    monkeypatch.setattr(detector, "_workers", lambda: 2)
+    calls = itertools.count()
+
+    def failing(blocks):
+        if next(calls) >= 2:  # a later chunk
+            raise MemoryError("cannot allocate the spectra")
+        return spectrogram(blocks)
+
+    monkeypatch.setattr(detector, "spectrogram", failing)
+    before = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            detect(stream)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["cannot allocate the spectra"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, failing):
+    spec = SyntheticSpec(duration_s=30.0, noise_std_a=0.01, seed=0)
+    stream, _ = generate_synthetic(spec)
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", 4)  # 2 windows a chunk, 15 chunks
+    monkeypatch.setattr(detector, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    calls = itertools.count()
+
+    def spectrogram_failing_on_one_thread(blocks):
+        next(calls)
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise MemoryError(f"no spectra on the {failing} thread")
+        time.sleep(0.05)  # the failing thread has time to take a chunk
+        return spectrogram(blocks)
+
+    monkeypatch.setattr(detector, "spectrogram", spectrogram_failing_on_one_thread)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match=f"on the {failing} thread"):
+        detect(stream)
+    assert threading.active_count() == before
+    assert next(calls) < 8  # of 15 chunks: no thread took a chunk after the failure

@@ -361,6 +361,22 @@ def test_ground_truth_bad_row_rejected(tmp_path):
         read_ground_truth(path)
 
 
+@pytest.mark.parametrize("lead", ["\n", "  \n", "# exported truth\n", "\n# a\n\n"])
+def test_ground_truth_header_after_blank_or_comment_lines(tmp_path, lead):
+    path = tmp_path / "truth.csv"
+    path.write_text(lead + "time_s,label\n2.5,on\n1.0\n")
+    assert read_ground_truth(path) == [GroundTruthEvent(1.0, None), GroundTruthEvent(2.5, "on")]
+
+
+@pytest.mark.parametrize("text", ["time_s,label\n1.0\nlabel,on\n",
+                                  "# truth\ntime_s\n\n1.0\ntime_s\n"])
+def test_ground_truth_non_numeric_row_after_the_header_rejected(tmp_path, text):
+    path = tmp_path / "truth.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="unparseable ground-truth row"):
+        read_ground_truth(path)
+
+
 def test_ground_truth_round_trip(tmp_path):
     events = [GroundTruthEvent(1.25, "on"), GroundTruthEvent(2.5, None)]
     path = tmp_path / "truth.csv"
