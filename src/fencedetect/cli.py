@@ -7,17 +7,16 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, dataclass, replace
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
-from .detector import DetectedEvent, DetectorConfig, WindowVerdict, detect
-from .evaluation import (
-    compute_metrics,
-    count_tn,
-    match_events,
-    metrics_payload,
-)
+from .detector import DetectedEvent, DetectorConfig, detect
+from .evaluation import compute_metrics, count_tn, match_events, metrics_payload
 from .signal_io import (
     FORMATS,
+    SampleStream,
     SyntheticSpec,
     decimate,
     generate_synthetic,
@@ -34,29 +33,68 @@ class CliError(Exception):
     """User-facing configuration or input problem."""
 
 
-# keys shared by flags and config files, in echo order
-_RUN_KEYS = (
-    "input", "format", "rate", "decimate", "window", "step", "block",
-    "k", "std_window", "truth", "tolerance", "seed", "out",
-)
-
-_DEFAULTS = {
-    "format": "csv",
-    "rate": 6000.0,
-    "decimate": 1,
-    "window": 6016,
-    "step": 6016,
-    "block": 128,
-    "k": 0.5,
-    "std_window": 4,
-    "seed": 0,
-}
-
+# the type of each numeric setting; config-file text is parsed as this type
 _COERCE = {
     "rate": float, "k": float, "tolerance": float,
     "decimate": int, "window": int, "step": int, "block": int,
     "std_window": int, "seed": int,
 }
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings every subcommand shares, in echo order, checked alike from any source."""
+
+    input: str | None = None
+    format: str = "csv"
+    rate: float = 6000.0
+    decimate: int = 1
+    window: int = 6016
+    step: int = 6016
+    block: int = 128
+    k: float = 0.5
+    std_window: int = 4
+    truth: str | None = None
+    tolerance: float | None = None
+    seed: int = 0
+    out: str | None = None
+
+    def __post_init__(self) -> None:
+        for key, kind in _COERCE.items():
+            value = getattr(self, key)
+            if value is None and key == "tolerance":
+                continue
+            # an int setting takes no bool and no float, however integral
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise CliError(f"{key} must be of type {kind.__name__}, got {value!r}")
+            object.__setattr__(self, key, kind(value))
+        if self.format not in FORMATS:
+            raise CliError(f"unknown format {self.format!r}, expected one of {FORMATS}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise CliError(f"rate must be finite and positive, got {self.rate!r}")
+        for key in ("decimate", "window"):
+            if getattr(self, key) < 1:
+                raise CliError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        tolerance = self.tolerance
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+            raise CliError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+
+    @property
+    def detector(self) -> DetectorConfig:
+        """The detector settings; ``CliError`` when the geometry, k or std_window is bad."""
+        try:
+            wcfg = WindowingConfig(self.window, self.step, self.block)
+            return DetectorConfig(k=self.k, std_window=self.std_window, windowing=wcfg)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+
+    @property
+    def tolerance_s(self) -> float:
+        """The match tolerance: the one given, else one window of the detected stream."""
+        if self.tolerance is None:
+            return self.window / (self.rate / self.decimate)
+        return self.tolerance
+
 
 _BLED_COLUMNS = {"a": 1, "b": 2}
 
@@ -72,7 +110,7 @@ def _parse_config(path: Path) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _RUN_KEYS:
+        if key not in RunConfig.__dataclass_fields__:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _COERCE.get(key, str)(value)
@@ -81,44 +119,12 @@ def _parse_config(path: Path) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
-    """Merge flags over config-file values over defaults.
-
-    Returns the resolved mapping and the set of keys that fell through to
-    their built-in default (callers may re-default those contextually).
-    """
-    from_file = _parse_config(Path(args.config)) if getattr(args, "config", None) else {}
-    resolved = {}
-    defaulted = set()
-    for key in _RUN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = _DEFAULTS.get(key)
-            defaulted.add(key)
-    _check_shared(resolved)
-    return resolved, defaulted
-
-
-def _check_shared(rc: dict) -> None:
-    """Reject a bad format, rate, decimate, window or tolerance (exit 2)."""
-    if rc["format"] not in FORMATS:
-        raise CliError(f"unknown format {rc['format']!r}, expected one of {FORMATS}")
-    if not (math.isfinite(rc["rate"]) and rc["rate"] > 0):
-        raise CliError(f"rate must be finite and positive, got {rc['rate']!r}")
-    for key in ("decimate", "window"):
-        if rc[key] < 1:
-            raise CliError(f"{key} must be at least 1, got {rc[key]!r}")
-    tolerance = rc["tolerance"]
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
-        raise CliError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-
-
-def _effective(rc: dict) -> dict:
-    return {key: rc[key] for key in _RUN_KEYS}
+def _given(args: argparse.Namespace) -> dict:
+    """The flags' settings over the config file's; a command merges them over its fallback."""
+    given = _parse_config(Path(args.config)) if args.config else {}
+    given.update((key, flag) for key in RunConfig.__dataclass_fields__
+                 if (flag := getattr(args, key)) is not None)
+    return given
 
 
 def _write_lines(lines: list[str], out: str | None) -> None:
@@ -129,25 +135,16 @@ def _write_lines(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _detector_config(rc: dict) -> DetectorConfig:
-    try:
-        wcfg = WindowingConfig(
-            window_len=rc["window"], step=rc["step"], block_len=rc["block"]
-        )
-        return DetectorConfig(k=rc["k"], std_window=rc["std_window"], windowing=wcfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _detected_rate(rc: dict) -> float:
-    """Sample rate of the stream the detector saw: the input rate over decimate."""
-    return rc["rate"] / rc["decimate"]
-
-
-def _default_tolerance(rc: dict) -> float:
-    if rc["tolerance"] is not None:
-        return rc["tolerance"]
-    return rc["window"] / _detected_rate(rc)
+def _load(rc: RunConfig, column: int | None = None) -> SampleStream:
+    """Read the input (``column`` of a multichannel CSV when given), note drops, decimate."""
+    if column is None:
+        stream, report = read_waveform(rc.input, rc.format, rc.rate)
+    else:
+        stream, report = read_multichannel_csv(rc.input, column, rc.rate)
+    if report.dropped:
+        print(f"note: dropped {report.dropped} invalid samples from {report.source}",
+              file=sys.stderr)
+    return decimate(stream, rc.decimate) if rc.decimate > 1 else stream
 
 
 # one verdicts row, byte for byte what json.dumps gives for its three keys
@@ -155,29 +152,17 @@ _VERDICT_ROW = '{"window_start": %d, "is_event": %s, "first_outlier_block": %s}\
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    rc, defaulted = _resolve(args)
-    if not rc["input"]:
+    # a two-current-channel export is 12 kHz, halved to 6 kHz, unless a setting says otherwise
+    bled = {"rate": 12000.0, "decimate": 2} if args.bled_layout else {}
+    rc = RunConfig(**{**bled, **_given(args)})
+    if not rc.input:
         raise CliError("detect needs --input")
-    cfg = _detector_config(rc)
-    if args.bled_layout:
-        # two-current-channel export: 12 kHz halved to 6 kHz unless overridden
-        if "rate" in defaulted:
-            rc["rate"] = 12000.0
-        if "decimate" in defaulted:
-            rc["decimate"] = 2
-        column = _BLED_COLUMNS[args.bled_layout]
-        stream, report = read_multichannel_csv(rc["input"], column, rc["rate"])
-    else:
-        stream, report = read_waveform(rc["input"], rc["format"], rc["rate"])
-    if report.dropped:
-        print(f"note: dropped {report.dropped} invalid samples from {report.source}",
-              file=sys.stderr)
-    if rc["decimate"] > 1:
-        stream = decimate(stream, rc["decimate"])
+    cfg = rc.detector
+    stream = _load(rc, _BLED_COLUMNS.get(args.bled_layout))
 
     events, verdicts = detect(stream, cfg)
 
-    header = json.dumps({"config": _effective(rc)})
+    header = json.dumps({"config": asdict(rc)})
     lines = [header] + [
         json.dumps({
             "sample_index": ev.sample_index,
@@ -186,7 +171,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         })
         for ev in events
     ]
-    _write_lines(lines, rc["out"])
+    _write_lines(lines, rc.out)
 
     if args.verdicts:
         columns = zip(verdicts.window_start.tolist(), verdicts.is_event.tolist(),
@@ -199,80 +184,73 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_events_file(path: str) -> tuple[dict, list[DetectedEvent]]:
-    """The ``{"config": ...}`` header (empty when absent) and the events."""
-    header, events = {}, []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if "sample_index" not in obj:  # provenance header
-            if isinstance(obj.get("config"), dict):
-                header = obj["config"]
-            continue
-        events.append(DetectedEvent(
-            sample_index=int(obj["sample_index"]),
-            time_s=float(obj["time_s"]),
-            window_span=(int(obj["window_start"]), int(obj["window_start"])),
-        ))
-    return header, events
+# the JSON type each key of a detect output row holds
+_EVENT_KEYS = {"sample_index": "int", "time_s": "number", "window_start": "int"}
+_VERDICT_KEYS = {"window_start": "int", "is_event": "bool", "first_outlier_block": "int|null"}
+# the Python types json.loads gives for each; exact, since bool is an int subclass
+_JSON_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,),
+               "int|null": (int, type(None))}
 
 
-def _read_verdicts_file(path: str) -> list[WindowVerdict]:
-    verdicts = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if "is_event" not in obj:
-            continue
-        verdicts.append(WindowVerdict(
-            window_start=int(obj["window_start"]),
-            is_event=bool(obj["is_event"]),
-            first_outlier_block=obj["first_outlier_block"],
-            selection=None,
-            fences=None,
-        ))
-    return verdicts
+def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]:
+    """The ``{"config": ...}`` header of a detect output file and its rows as columns.
 
-
-# settings eval reads from the events header when no flag or config file gives them
-_HEADER_GEOMETRY = ("window", "rate", "decimate")
+    A line holding a ``"config"`` object is the header; every other non-blank
+    line must be a JSON object whose ``keys`` hold their JSON types, else
+    ``ValueError`` (exit 1) names the file and line.
+    """
+    pick = itemgetter(*keys)
+    # every combination of the keys' types, so one set lookup checks a row
+    allowed = set(product(*(_JSON_TYPES[kind] for kind in keys.values())))
+    header, rows = {}, []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = None
+        try:
+            row = json.loads(line)
+            values = pick(row)  # KeyError: a key is missing; TypeError: not an object
+            if tuple(map(type, values)) in allowed:
+                rows.append(values)
+                continue
+        except (KeyError, TypeError, ValueError):  # ValueError: not JSON
+            pass
+        if not (isinstance(row, dict) and isinstance(row.get("config"), dict)):
+            expected = ", ".join(f"{key!r}: {kind}" for key, kind in keys.items())
+            raise ValueError(f"{path}:{lineno}: expected an object with {expected}")
+        header = row["config"]
+    return header, dict(zip(keys, zip(*rows))) if rows else dict.fromkeys(keys, ())
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    rc, defaulted = _resolve(args)
-    if not rc["input"]:
+    given = _given(args)
+    rc = RunConfig(**given)
+    if not rc.input:
         raise CliError("eval needs --input (a detect events file)")
-    if not rc["truth"]:
+    if not rc.truth:
         raise CliError("eval needs --truth")
-    header, detected = _read_events_file(rc["input"])
-    for key in _HEADER_GEOMETRY:
-        if key in defaulted and key in header:
-            try:
-                rc[key] = _COERCE[key](header[key])
-            except (TypeError, ValueError) as exc:
-                raise CliError(
-                    f"{rc['input']}: bad {key!r} in the config header: {header[key]!r}"
-                ) from exc
-    _check_shared(rc)
-    truth = read_ground_truth(rc["truth"])
-    tolerance = _default_tolerance(rc)
-    match = match_events(detected, truth, tolerance)
+    header, events = _read_rows(rc.input, _EVENT_KEYS)
+    # the geometry detect ran with, unless a setting says otherwise
+    geometry = {key: header[key] for key in ("window", "rate", "decimate") if key in header}
+    try:
+        rc = RunConfig(**{**geometry, **given})
+    except CliError as exc:
+        raise CliError(f"{rc.input}: in the config header: {exc}") from None
+    truth = read_ground_truth(rc.truth)
+    detected = [DetectedEvent(index, float(time_s), (start, start))
+                for index, time_s, start in zip(*events.values())]
+    match = match_events(detected, truth, rc.tolerance_s)
     tn = 0
     if args.verdicts:
-        tn = count_tn(
-            _read_verdicts_file(args.verdicts), truth, tolerance,
-            window_len=rc["window"], sample_rate_hz=_detected_rate(rc),
-        )
+        _, verdicts = _read_rows(args.verdicts, _VERDICT_KEYS)
+        tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth, rc.tolerance_s,
+                      window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
     payload = metrics_payload(match, compute_metrics(match, tn))
-    payload["config"] = _effective(rc)
+    payload["config"] = asdict(rc)
     text = json.dumps(payload)
     print(text)
-    if rc["out"]:
-        Path(rc["out"]).write_text(text + "\n")
+    if rc.out:
+        Path(rc.out).write_text(text + "\n")
     return 0
 
 
@@ -293,12 +271,12 @@ def _parse_event_flag(text: str) -> tuple:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    rc, _ = _resolve(args)
+    rc = RunConfig(**_given(args))
     if args.duration is None:
         raise CliError("synth needs --duration")
-    if not rc["out"]:
+    if not rc.out:
         raise CliError("synth needs --out for the waveform (raw-f64le)")
-    if not rc["truth"]:
+    if not rc.truth:
         raise CliError("synth needs --truth for the ground-truth csv")
     try:
         spec = SyntheticSpec(
@@ -307,16 +285,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
             base_amplitude_a=args.base_amplitude,
             noise_std_a=args.noise_std,
             events=tuple(_parse_event_flag(e) for e in (args.event or [])),
-            seed=rc["seed"],
-            sample_rate_hz=rc["rate"],
+            seed=rc.seed,
+            sample_rate_hz=rc.rate,
             drift_depth=args.drift_depth,
             drift_period_s=args.drift_period,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     stream, truth = generate_synthetic(spec)
-    write_waveform(stream, rc["out"], "raw-f64le")
-    write_ground_truth(truth, rc["truth"])
+    write_waveform(stream, rc.out, "raw-f64le")
+    write_ground_truth(truth, rc.truth)
     # raw and plain-csv outputs take no header; provenance goes to stdout
     print(json.dumps({"config": {
         "duration": spec.duration_s, "rate": spec.sample_rate_hz,
@@ -324,53 +302,44 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "noise_std": spec.noise_std_a, "events": len(spec.events),
         "seed": spec.seed, "drift_depth": spec.drift_depth,
         "drift_period": spec.drift_period_s,
-        "out": rc["out"], "truth": rc["truth"],
+        "out": rc.out, "truth": rc.truth,
     }}))
     return 0
 
 
-_SWEEP_TYPES = {"step": int, "k": float, "std_window": int}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rc, _ = _resolve(args)
-    if not rc["input"]:
+    rc = RunConfig(**_given(args))
+    if not rc.input:
         raise CliError("sweep needs --input")
-    if not rc["truth"]:
+    if not rc.truth:
         raise CliError("sweep needs --truth")
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise CliError("sweep needs a nonempty --values list")
     try:
-        values = [_SWEEP_TYPES[args.param](v) for v in raw_values]
+        values = [_COERCE[args.param](v) for v in raw_values]
     except ValueError as exc:
         raise CliError(f"bad --values entry for {args.param}: {exc}") from exc
-    configs = [_detector_config({**rc, args.param: value}) for value in values]
+    configs = [replace(rc, **{args.param: value}).detector for value in values]
 
-    stream, report = read_waveform(rc["input"], rc["format"], rc["rate"])
-    if report.dropped:
-        print(f"note: dropped {report.dropped} invalid samples from {report.source}",
-              file=sys.stderr)
-    if rc["decimate"] > 1:
-        stream = decimate(stream, rc["decimate"])
-    truth = read_ground_truth(rc["truth"])
-    tolerance = _default_tolerance(rc)
+    stream = _load(rc)
+    truth = read_ground_truth(rc.truth)
 
     lines = [
-        "# config: " + json.dumps(_effective(rc)),
+        "# config: " + json.dumps(asdict(rc)),
         "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms",
     ]
     for value, cfg in zip(values, configs):
         started = time.perf_counter()
         events, _ = detect(stream, cfg)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        match = match_events(events, truth, tolerance)
+        match = match_events(events, truth, rc.tolerance_s)
         m = compute_metrics(match)
         lines.append(
             f"{value},{match.tp},{match.fp},{match.fn},"
             f"{m.precision!r},{m.recall!r},{m.f_measure!r},{wall_ms:.1f}"
         )
-    _write_lines(lines, rc["out"])
+    _write_lines(lines, rc.out)
     return 0
 
 
@@ -383,27 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--input", help="input file (waveform, or events file for eval)")
-    shared.add_argument("--format", choices=list(FORMATS), default=None,
+    shared.add_argument("--format", choices=list(FORMATS),
                         help="waveform file format (default csv)")
-    shared.add_argument("--rate", type=float, default=None,
-                        help="sample rate in Hz (default 6000)")
-    shared.add_argument("--decimate", type=int, default=None,
+    shared.add_argument("--rate", type=float, help="sample rate in Hz (default 6000)")
+    shared.add_argument("--decimate", type=int,
                         help="keep every n-th sample before detection (default 1)")
-    shared.add_argument("--window", type=int, default=None,
+    shared.add_argument("--window", type=int,
                         help="analysis window length in samples (default 6016)")
-    shared.add_argument("--step", type=int, default=None,
+    shared.add_argument("--step", type=int,
                         help="window step in samples (default 6016, non-overlapping)")
-    shared.add_argument("--block", type=int, default=None,
-                        help="FFT block length in samples (default 128)")
-    shared.add_argument("--k", type=float, default=None,
-                        help="Tukey fence constant (default 0.5)")
-    shared.add_argument("--std-window", type=int, default=None, dest="std_window",
+    shared.add_argument("--block", type=int, help="FFT block length in samples (default 128)")
+    shared.add_argument("--k", type=float, help="Tukey fence constant (default 0.5)")
+    shared.add_argument("--std-window", type=int, dest="std_window",
                         help="forward standard deviation width in blocks (default 4)")
     shared.add_argument("--truth", help="ground-truth csv (time_s[,label])")
-    shared.add_argument("--tolerance", type=float, default=None,
+    shared.add_argument("--tolerance", type=float,
                         help="match tolerance in seconds (default: one window)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="generator seed (default 0)")
+    shared.add_argument("--seed", type=int, help="generator seed (default 0)")
     shared.add_argument("--out", help="output path (default: standard output)")
     shared.add_argument("--config", help="key = value config file; flags win")
 
@@ -440,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[shared],
                              help="re-run detection across parameter values")
     p_sweep.add_argument("--param", required=True,
-                         choices=sorted(_SWEEP_TYPES),
+                         choices=["k", "std_window", "step"],
                          help="which parameter to sweep")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
@@ -456,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

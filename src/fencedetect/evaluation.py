@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .detector import DetectedEvent, WindowVerdict
+import numpy as np
+
+from .detector import DetectedEvent
 from .signal_io import GroundTruthEvent
 
 
@@ -111,7 +111,8 @@ def compute_metrics(match: MatchResult, tn: int = 0) -> Metrics:
 
 
 def count_tn(
-    verdicts: Iterable[WindowVerdict],
+    window_start: np.ndarray,
+    is_event: np.ndarray,
     truth: list[GroundTruthEvent],
     tolerance_s: float,
     window_len: int = 6016,
@@ -119,21 +120,19 @@ def count_tn(
 ) -> int:
     """Count quiet windows that were rightly quiet.
 
-    A true negative is an unflagged window whose span, widened by the
-    tolerance on both sides, contains no ground-truth event. Event lists
-    alone cannot provide this count, hence the window granularity.
+    A true negative is an unflagged window (one entry of ``window_start``
+    and ``is_event`` each) whose span, widened by the tolerance on both
+    sides, contains no ground-truth event. Event lists alone cannot provide
+    this count, hence the window granularity.
     """
-    times = sorted(t.time_s for t in truth)
-    tn = 0
-    for verdict in verdicts:
-        if verdict.is_event:
-            continue
-        lo = verdict.window_start / sample_rate_hz - tolerance_s
-        hi = (verdict.window_start + window_len) / sample_rate_hz + tolerance_s
-        i = bisect_left(times, lo)
-        if i >= len(times) or times[i] > hi:
-            tn += 1
-    return tn
+    times = np.sort(np.array([t.time_s for t in truth], dtype=np.float64))
+    starts = np.asarray(window_start)[~np.asarray(is_event, dtype=bool)]
+    lo = starts / sample_rate_hz - tolerance_s
+    hi = (starts + window_len) / sample_rate_hz + tolerance_s
+    # the first truth at or after each lo; none, or one past hi, leaves the span clear
+    first = np.searchsorted(times, lo)
+    clear = (first == len(times)) | (np.append(times, np.inf)[first] > hi)
+    return int(np.count_nonzero(clear))
 
 
 def metrics_payload(match: MatchResult, metrics: Metrics) -> dict:

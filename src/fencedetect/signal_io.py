@@ -152,6 +152,7 @@ def _parse_csv_lines(text: str, column: int | None) -> tuple[np.ndarray, int]:
     field is missing, fails ``float()`` or parses to NaN/Inf. Returns the
     finite values and the dropped count.
     """
+    text = text.removeprefix("\ufeff")  # one UTF-8 byte-order mark, as Excel writes
     fields = [_csv_field(line, column) for line in text.splitlines() if line.strip()]
     if fields and not _looks_numeric(fields[0]):
         fields = fields[1:]  # single header row
@@ -182,6 +183,8 @@ def _loadtxt_safe(path: Path) -> bool:
     if path.suffix in _COMPRESSED_SUFFIXES:
         return False
     with open(path, "rb") as fh:
+        if fh.read(3) != b"\xef\xbb\xbf":  # a UTF-8 byte-order mark may lead the text
+            fh.seek(0)
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if not chunk.isascii() or any(brk in chunk for brk in _EXTRA_LINE_BREAKS):
                 return False
@@ -200,7 +203,7 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     """
     if _loadtxt_safe(path):
         skip = 0  # leading blank lines, and the header row if there is one
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 if line.strip():
                     if not _looks_numeric(_csv_field(line, column)):
@@ -212,7 +215,7 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
                 warnings.simplefilter("ignore", UserWarning)  # no rows after the header
                 values = np.loadtxt(
                     path, delimiter=",", usecols=column, comments=None,
-                    dtype=np.float64, ndmin=2, skiprows=skip,
+                    dtype=np.float64, ndmin=2, skiprows=skip, encoding="utf-8-sig",
                 )
         except ValueError:
             pass
@@ -416,13 +419,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
 def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
     """Read a ``time_s[,label]`` CSV, sorted ascending by time.
 
-    Blank lines and ``#`` comment lines are skipped; the first other row is
-    treated as a header when its time field is not numeric. Duplicate
-    timestamps are preserved.
+    One leading UTF-8 byte-order mark, blank lines and ``#`` comment lines
+    are skipped; the first other row is a header when its time field is not
+    numeric. Duplicate timestamps are preserved. A time that is unparseable,
+    non-finite or negative raises ``ValueError``.
     """
     path = Path(path)
     events: list[GroundTruthEvent] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = ((i, row) for i, row in enumerate(csv.reader(fh))
                 if "".join(row).strip() and not row[0].lstrip().startswith("#"))
         for n, (i, row) in enumerate(rows):
@@ -432,8 +436,8 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
                 time_s = float(row[0])
             except ValueError as exc:
                 raise ValueError(f"unparseable ground-truth row {i + 1}: {row!r}") from exc
-            if time_s < 0:
-                raise ValueError(f"negative event time on row {i + 1}: {time_s}")
+            if not (math.isfinite(time_s) and time_s >= 0):
+                raise ValueError(f"non-finite or negative event time on row {i + 1}: {time_s}")
             label = row[1].strip() if len(row) > 1 and row[1].strip() else None
             events.append(GroundTruthEvent(time_s, label))
     events.sort(key=lambda ev: ev.time_s)

@@ -393,7 +393,8 @@ def test_eval_takes_window_from_the_events_header(tmp_path, capsys):
     payload = _eval_payload(capsys, inputs)
     assert payload["tolerance_s"] == 3008 / 6000
     assert payload["config"]["window"] == 3008
-    expected_tn = count_tn(cli._read_verdicts_file(str(verdicts)), read_ground_truth(truth),
+    _, rows = cli._read_rows(str(verdicts), cli._VERDICT_KEYS)
+    expected_tn = count_tn(rows["window_start"], rows["is_event"], read_ground_truth(truth),
                            3008 / 6000, window_len=3008, sample_rate_hz=6000.0)
     assert payload["tn"] == expected_tn
     # a flag still wins over the header
@@ -431,7 +432,7 @@ def test_eval_after_bled_layout_uses_the_decimated_rate(tmp_path, capsys):
            {k: v for k, v in payload.items() if k != "config"}
 
 
-@pytest.mark.parametrize("value", ['"fast"', "null", "0", "-3"])
+@pytest.mark.parametrize("value", ['"fast"', "null", "0", "-3", "3008.7", "true"])
 def test_eval_rejects_bad_header_geometry(tmp_path, capsys, value):
     events = tmp_path / "events.jsonl"
     events.write_text('{"config": {"window": %s}}\n' % value)
@@ -439,3 +440,91 @@ def test_eval_rejects_bad_header_geometry(tmp_path, capsys, value):
     truth.write_text("1.0\n")
     assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 2
     assert "window" in capsys.readouterr().err
+
+
+_GOOD_ROWS = {
+    "events": '{"sample_index": 27072, "time_s": 4.512, "window_start": 24064}',
+    "verdicts": '{"window_start": 0, "is_event": false, "first_outlier_block": null}',
+}
+
+
+@pytest.mark.parametrize("sidecar, row", [
+    ("events", '{"sample_index": 5}'),
+    ("events", "[1, 2]"),
+    ("events", '"x"'),
+    ("events", '{"sample_index": 5, "time_s": 0.1'),
+    ("verdicts", '{"is_event": true}'),
+    ("verdicts", '{"window_start": 0, "is_event": "no", "first_outlier_block": null}'),
+    ("verdicts", "[0]"),
+])
+def test_eval_malformed_row_exits_1_naming_its_line(tmp_path, capsys, sidecar, row):
+    paths = {name: tmp_path / f"{name}.jsonl" for name in _GOOD_ROWS}
+    for name, path in paths.items():
+        bad = [row] if name == sidecar else []
+        path.write_text("\n".join(['{"config": {}}', _GOOD_ROWS[name], *bad]) + "\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("4.5\n")
+    rc = cli.main(["eval", "--input", str(paths["events"]), "--truth", str(truth),
+                   "--verdicts", str(paths["verdicts"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[sidecar]}:3: ") and len(err.splitlines()) == 1
+
+
+# the exact {"config": ...} line: key order, value types and bytes are part of the output
+_ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
+         '"window": %d, "step": 6016, "block": %d, "k": %s, "std_window": 4, '
+         '"truth": %s, "tolerance": %s, "seed": 0, "out": %s}}')
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["--input", "wave.f64", "--format", "raw-f64le"],
+     _ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 6016, 128, "0.5", "null", "null",
+              '"events.jsonl"')),
+    (["--input", "phases.csv", "--bled-layout", "b"],
+     _ECHO % ("phases.csv", "csv", "12000.0", 2, 6016, 128, "0.5", "null", "null",
+              '"events.jsonl"')),
+    (["--input", "wave.f64", "--config", "run.conf", "--k", "1.5"],
+     _ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 3008, 64, "1.5", "null", "0.25",
+              '"events.jsonl"')),
+], ids=["defaults", "bled-layout", "config-and-flag"])
+def test_detect_header_line_is_pinned(tmp_path, monkeypatch, argv, header):
+    import numpy as np
+
+    _synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    n = 24000  # 2 s at 12 kHz
+    np.savetxt("phases.csv", np.column_stack([np.arange(n) / 12000.0, np.zeros(n),
+                                              np.sin(np.arange(n) / 10.0), np.full(n, 120.0)]),
+               fmt="%.8g", delimiter=",", header="X_Value,Current_A,Current_B,VoltageA",
+               comments="")
+    (tmp_path / "run.conf").write_text(
+        "format = raw-f64le\nk = 0.75\nwindow = 3008\nblock = 64\ntolerance = 0.25\n")
+    assert cli.main(["detect", *argv, "--out", "events.jsonl", "--verdicts", "v.jsonl"]) == 0
+    assert (tmp_path / "events.jsonl").read_text().splitlines()[0] == header
+    assert (tmp_path / "v.jsonl").read_text().splitlines()[0] == header
+
+
+def test_eval_config_echo_filled_from_the_events_header_is_pinned(tmp_path, monkeypatch,
+                                                                  capsys):
+    _synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["detect", "--input", "wave.f64", "--format", "raw-f64le",
+                     "--window", "3008", "--block", "64", "--rate", "12000",
+                     "--decimate", "2", "--out", "events.jsonl"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--input", "events.jsonl", "--truth", "wave.truth.csv"]) == 0
+    # window, rate and decimate from the header; block and the rest are eval's defaults
+    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 128, "0.5",
+                    '"wave.truth.csv"', "null", "null")
+    assert capsys.readouterr().out.endswith(', "config": %s}\n' % echo[len('{"config": '):-1])
+
+
+def test_eval_header_rate_too_large_for_a_float_exits_1_without_traceback(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"config": {"rate": 1%s}}\n' % ("0" * 400))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("1.0\n")
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

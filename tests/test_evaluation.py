@@ -1,7 +1,11 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fencedetect.detector import DetectedEvent, WindowVerdict
+from fencedetect.detector import DetectedEvent
 from fencedetect.evaluation import (
     compute_metrics,
     count_tn,
@@ -19,12 +23,6 @@ def _det(time_s):
 
 def _truth(*times):
     return [GroundTruthEvent(t) for t in times]
-
-
-def _verdict(start, flagged):
-    return WindowVerdict(window_start=start, is_event=flagged,
-                         first_outlier_block=0 if flagged else None,
-                         selection=None, fences=None)
 
 
 def test_match_within_tolerance():
@@ -125,25 +123,69 @@ def test_compute_metrics_reads_match_result():
 
 
 def test_count_tn_no_truth():
-    verdicts = [_verdict(i * 6016, False) for i in range(10)]
-    assert count_tn(verdicts, [], 1.0) == 10
+    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], 1.0) == 10
+    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], float("inf")) == 10
 
 
 def test_count_tn_excludes_windows_near_truth():
-    verdicts = [_verdict(0, False)]
+    starts, flags = np.array([0]), np.array([False])
     # event at 0.5 s sits inside the window span
-    assert count_tn(verdicts, _truth(0.5), 1.0) == 0
+    assert count_tn(starts, flags, _truth(0.5), 1.0) == 0
     # event well past the widened span does not block the count
-    assert count_tn(verdicts, _truth(10.0), 1.0) == 1
+    assert count_tn(starts, flags, _truth(10.0), 1.0) == 1
 
 
 def test_count_tn_ignores_flagged_windows():
-    verdicts = [_verdict(0, True), _verdict(6016, False)]
-    assert count_tn(verdicts, [], 0.0) == 1
+    assert count_tn(np.array([0, 6016]), np.array([True, False]), [], 0.0) == 1
 
 
 def test_count_tn_empty():
-    assert count_tn([], _truth(1.0), 1.0) == 0
+    assert count_tn(np.array([], np.int64), np.array([], bool), _truth(1.0), 1.0) == 0
+
+
+def _count_tn_per_window(starts, flags, truth, tolerance_s, window_len, sample_rate_hz):
+    """Reference: one bisect over the sorted truth times per unflagged window."""
+    times = sorted(t.time_s for t in truth)
+    tn = 0
+    for start, flagged in zip(starts, flags):
+        if flagged:
+            continue
+        lo = start / sample_rate_hz - tolerance_s
+        hi = (start + window_len) / sample_rate_hz + tolerance_s
+        i = bisect_left(times, lo)
+        if i >= len(times) or times[i] > hi:
+            tn += 1
+    return tn
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    starts=st.lists(st.integers(0, 10**7), max_size=40),
+    flags=st.lists(st.booleans(), min_size=40, max_size=40),
+    truth=st.lists(st.one_of(st.floats(0, 2000), st.sampled_from([0.0, 1.0, 2.5])),
+                   max_size=12),
+    tolerance_s=st.one_of(st.floats(0, 50), st.sampled_from([0.0, 0.5, float("inf")])),
+    window_len=st.sampled_from([1, 128, 3008, 6016]),
+    sample_rate_hz=st.one_of(st.floats(1.0, 1e5), st.sampled_from([6000.0, 12000.0])),
+)
+def test_count_tn_matches_per_window_bisect(data, starts, flags, truth, tolerance_s, window_len,
+                                            sample_rate_hz):
+    flags = flags[:len(starts)]
+    # some truths sit exactly on a widened window bound
+    bounds = [b for s in starts for b in (s / sample_rate_hz - tolerance_s,
+                                          (s + window_len) / sample_rate_hz + tolerance_s)]
+    if bounds:
+        truth = truth + data.draw(st.lists(st.sampled_from(bounds), max_size=4))
+    events = _truth(*truth)
+    expected = _count_tn_per_window(starts, flags, events, tolerance_s, window_len,
+                                    sample_rate_hz)
+    got = count_tn(np.array(starts, np.int64), np.array(flags, bool), events, tolerance_s,
+                   window_len=window_len, sample_rate_hz=sample_rate_hz)
+    assert got == expected
+    # lists, as eval's row reader gives them, count the same
+    assert count_tn(starts, flags, events, tolerance_s, window_len=window_len,
+                    sample_rate_hz=sample_rate_hz) == expected
 
 
 def test_metrics_payload_key_set():

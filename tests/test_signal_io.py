@@ -166,6 +166,27 @@ def test_comment_and_short_rows_fall_back_with_counts(tmp_path):
     assert report.dropped == 2
 
 
+def test_csv_byte_order_mark_before_a_headerless_first_row(tmp_path, monkeypatch):
+    path = tmp_path / "wave.csv"
+    clean = signal_io._parse_csv_lines
+
+    def tolerant(*args):
+        raise AssertionError("the byte-order mark sent a clean file to the per-line parser")
+
+    monkeypatch.setattr(signal_io, "_parse_csv_lines", tolerant)
+    for text in (b"\xef\xbb\xbf0.5\n1.5\n", b"\xef\xbb\xbfcurrent_a\n0.5\n1.5\n"):
+        path.write_bytes(text)
+        stream, report = read_waveform(path, "csv", 6000.0)
+        assert stream.samples.tolist() == [0.5, 1.5]
+        assert (report.kept, report.dropped) == (2, 0)
+    # a bad row sends the file to the per-line parser, which skips the mark too
+    monkeypatch.setattr(signal_io, "_parse_csv_lines", clean)
+    path.write_bytes(b"\xef\xbb\xbf0.5,1.0\n# note\n1.5,2.0\n")
+    stream, report = read_multichannel_csv(path, 0, 12000.0)
+    assert stream.samples.tolist() == [0.5, 1.5]
+    assert (report.kept, report.dropped) == (2, 1)
+
+
 _UTF8 = locale.getpreferredencoding(False).lower().replace("-", "") == "utf8"
 # control characters, some of which str.splitlines treats as line breaks
 _ODD_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x1f" + ("\x85\xa0\u2028\u0661" if _UTF8 else "")
@@ -352,6 +373,22 @@ def test_ground_truth_negative_time_rejected(tmp_path):
     path.write_text("-1.0\n")
     with pytest.raises(ValueError):
         read_ground_truth(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_ground_truth_non_finite_time_rejected(tmp_path, value):
+    path = tmp_path / "truth.csv"
+    path.write_text(f"3.0\n{value}\n1.0\n2.0\n")
+    with pytest.raises(ValueError, match="non-finite or negative event time on row 2"):
+        read_ground_truth(path)
+
+
+def test_ground_truth_byte_order_mark_before_a_headerless_first_row(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_bytes("\ufeff1.0,on\n2.0,off\n".encode())
+    assert read_ground_truth(path) == [GroundTruthEvent(1.0, "on"), GroundTruthEvent(2.0, "off")]
+    path.write_bytes("\ufefftime_s,label\n2.0,off\n".encode())
+    assert read_ground_truth(path) == [GroundTruthEvent(2.0, "off")]
 
 
 def test_ground_truth_bad_row_rejected(tmp_path):
