@@ -7,12 +7,8 @@ generator needed to measure it.
 """
 
 from .detector import (
-    BinSelection,
     DetectedEvent,
     DetectorConfig,
-    TukeyFences,
-    Verdicts,
-    WindowVerdict,
     classify_window,
     delta_p,
     detect,
@@ -50,7 +46,6 @@ from .windowing import Window, WindowingConfig, to_block_matrix, windows
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinSelection",
     "DetectedEvent",
     "DetectorConfig",
     "GroundTruthEvent",
@@ -59,10 +54,7 @@ __all__ = [
     "Metrics",
     "SampleStream",
     "SyntheticSpec",
-    "TukeyFences",
-    "Verdicts",
     "Window",
-    "WindowVerdict",
     "WindowingConfig",
     "classify_window",
     "compute_metrics",

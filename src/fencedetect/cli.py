@@ -67,6 +67,10 @@ class RunConfig:
             # an int setting takes no bool and no float, however integral
             if isinstance(value, bool) or not isinstance(value, (int, kind)):
                 raise CliError(f"{key} must be of type {kind.__name__}, got {value!r}")
+            try:
+                float(value)  # every setting meets float arithmetic somewhere
+            except OverflowError:
+                raise CliError(f"{key} is too large for a float") from None
             object.__setattr__(self, key, kind(value))
         if self.format not in FORMATS:
             raise CliError(f"unknown format {self.format!r}, expected one of {FORMATS}")
@@ -75,9 +79,12 @@ class RunConfig:
         for key in ("decimate", "window"):
             if getattr(self, key) < 1:
                 raise CliError(f"{key} must be at least 1, got {getattr(self, key)!r}")
-        tolerance = self.tolerance
-        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
-            raise CliError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+        if not self.rate / self.decimate > 0:
+            raise CliError(f"rate / decimate must be positive, got {self.rate!r} / {self.decimate}")
+        tolerance = self.tolerance_s
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise CliError(f"tolerance (default: one window) must be finite and nonnegative, "
+                           f"got {tolerance!r}")
 
     @property
     def detector(self) -> DetectorConfig:
@@ -192,6 +199,13 @@ _JSON_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,),
                "int|null": (int, type(None))}
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]:
     """The ``{"config": ...}`` header of a detect output file and its rows as columns.
 
@@ -199,6 +213,8 @@ def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]
     line must be a JSON object whose ``keys`` hold their JSON types, else
     ``ValueError`` (exit 1) names the file and line.
     """
+    # JSON has no NaN or Infinity and no float beyond the double range
+    decode = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float).decode
     pick = itemgetter(*keys)
     # every combination of the keys' types, so one set lookup checks a row
     allowed = set(product(*(_JSON_TYPES[kind] for kind in keys.values())))
@@ -208,7 +224,7 @@ def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]
             continue
         row = None
         try:
-            row = json.loads(line)
+            row = decode(line)
             values = pick(row)  # KeyError: a key is missing; TypeError: not an object
             if tuple(map(type, values)) in allowed:
                 rows.append(values)

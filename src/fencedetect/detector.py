@@ -6,13 +6,13 @@ block series, fence the deviations with Tukey's rule, and flag the window when
 any deviation falls outside the fences. Runs of flagged windows merge into
 single timestamped events.
 
-Each stage accepts one window or a stack of windows along a leading axis;
-``detect`` runs them once per chunk of consecutive windows and keeps the
-per-window outcomes as columns of one ``Verdicts`` record. Chunks run on one
-thread per CPU the process may use, the caller included, with no setting;
-each writes only its own rows, so the bytes are the same for any thread
-count. The chunk size shrinks with the thread count, so at most
-``CHUNK_WINDOWS`` windows are in flight at once.
+Each stage accepts one window or a stack of windows along a leading axis and
+returns plain arrays; ``detect`` runs them once per chunk of consecutive
+windows and keeps the per-window outcomes as rows of one numpy record array,
+one field per column. Chunks run on one thread per CPU the process may use,
+the caller included, with no setting; each writes only its own rows, so the
+bytes are the same for any thread count. The chunk size shrinks with the
+thread count, so at most ``CHUNK_WINDOWS`` windows are in flight at once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,88 +54,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class BinSelection:
-    """The winning frequency bin and the per-bin gap scores behind it."""
-
-    selected_bin: int
-    delta_p: float
-    per_bin_delta: np.ndarray
-
-
-@dataclass(frozen=True)
-class TukeyFences:
-    q1: float
-    q3: float
-    k: float
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class WindowVerdict:
-    """Per-window outcome with the evidence that produced it."""
-
-    window_start: int
-    is_event: bool
-    first_outlier_block: int | None
-    selection: BinSelection
-    fences: TukeyFences
-
-
-@dataclass(frozen=True, eq=False)
-class Verdicts:
-    """Every window's outcome and evidence for one run, one array per field.
-
-    Rows are windows in stream order; ``per_bin_delta`` has one column per
-    frequency bin, and ``first_outlier_block`` is -1 where ``is_event`` is
-    False. ``len()`` counts the windows; indexing or iterating gives
-    ``WindowVerdict`` rows.
-    """
-
-    window_start: np.ndarray
-    is_event: np.ndarray
-    first_outlier_block: np.ndarray
-    selected_bin: np.ndarray
-    delta_p: np.ndarray
-    per_bin_delta: np.ndarray
-    q1: np.ndarray
-    q3: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    k: float
-
-    @classmethod
-    def empty(cls, windows: int, bins: int, k: float) -> Verdicts:
-        """Unfilled columns for ``windows`` rows of ``bins`` frequency bins."""
-        def column(dtype=np.float64):
-            return np.empty(windows, dtype)
-
-        return cls(
-            window_start=column(np.int64), is_event=column(bool),
-            first_outlier_block=column(np.int64), selected_bin=column(np.int64),
-            delta_p=column(), per_bin_delta=np.empty((windows, bins)),
-            q1=column(), q3=column(), lo=column(), hi=column(), k=k,
-        )
-
-    def __len__(self) -> int:
-        return len(self.window_start)
-
-    def __getitem__(self, i: int) -> WindowVerdict:
-        flagged = bool(self.is_event[i])
-        return WindowVerdict(
-            int(self.window_start[i]), flagged,
-            int(self.first_outlier_block[i]) if flagged else None,
-            BinSelection(int(self.selected_bin[i]), float(self.delta_p[i]),
-                         self.per_bin_delta[i]),
-            TukeyFences(float(self.q1[i]), float(self.q3[i]), self.k,
-                        float(self.lo[i]), float(self.hi[i])),
-        )
-
-    def __iter__(self) -> Iterator[WindowVerdict]:
-        return map(self.__getitem__, range(len(self)))
-
-
-@dataclass(frozen=True)
 class DetectedEvent:
     """A merged run of flagged windows, located to block resolution."""
 
@@ -161,13 +80,13 @@ def delta_p(spectrogram_f: np.ndarray) -> np.ndarray:
     return np.abs(early - late)
 
 
-def select_bin(spectrogram_f: np.ndarray) -> BinSelection:
-    """Pick the bin with the largest half-mean gap, lowest index on ties."""
+def select_bin(spectrogram_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pick the bin with the largest half-mean gap, lowest index on ties.
+
+    Returns the selected bin, its gap and every bin's gap.
+    """
     gaps = delta_p(spectrogram_f)
-    best = np.argmax(gaps, axis=-1)
-    if gaps.ndim == 1:
-        best = int(best)
-    return BinSelection(selected_bin=best, delta_p=gaps.max(axis=-1), per_bin_delta=gaps)
+    return np.argmax(gaps, axis=-1), gaps.max(axis=-1), gaps
 
 
 def extract_series(spectrogram_f: np.ndarray, selected_bin: int | np.ndarray) -> np.ndarray:
@@ -214,28 +133,26 @@ def quantile(values: np.ndarray, q: float):
     return s[..., lower]
 
 
-def tukey_fences(sigma: np.ndarray, k: float) -> TukeyFences:
-    """Quartile fences [Q1 - k*IQR, Q3 + k*IQR] of the deviation series."""
+def tukey_fences(sigma: np.ndarray, k: float) -> tuple[np.ndarray, ...]:
+    """Quartiles and fences ``(q1, q3, lo, hi)``, [Q1 - k*IQR, Q3 + k*IQR], of the deviations."""
     q1 = quantile(sigma, 0.25)
     q3 = quantile(sigma, 0.75)
     iqr = q3 - q1
-    return TukeyFences(q1=q1, q3=q3, k=k, lo=q1 - k * iqr, hi=q3 + k * iqr)
+    return q1, q3, q1 - k * iqr, q3 + k * iqr
 
 
-def classify_window(sigma: np.ndarray, fences: TukeyFences):
+def classify_window(sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Flag the window when any deviation falls strictly outside the fences.
 
     The fence interval is closed, so values sitting exactly on a fence are
-    ordinary. Returns the flag and the index of the first outlying deviation
-    (None when unflagged); for a stack, both as arrays, the index 0 when unflagged.
+    ordinary. Returns the flag and the index of the first outlying
+    deviation, -1 where the window is not flagged.
     """
-    s = np.asarray(sigma)
-    lo, hi = np.asarray(fences.lo)[..., None], np.asarray(fences.hi)[..., None]
-    outside = (s < lo) | (s > hi)
-    flagged, first = outside.any(axis=-1), np.argmax(outside, axis=-1)
-    if s.ndim == 1:
-        return (True, int(first)) if flagged else (False, None)
-    return flagged, first
+    outside = (sigma < np.asarray(lo)[..., None]) | (sigma > np.asarray(hi)[..., None])
+    flagged = outside.any(axis=-1)
+    # [()] makes the one-window 0-d result a scalar, as the other stages give
+    return flagged, np.where(flagged, np.argmax(outside, axis=-1), -1)[()]
 
 
 def _workers() -> int:
@@ -246,9 +163,9 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rows(verdicts: Verdicts, i0: int, chunk: list[Window],
-               stream: SampleStream, cfg: DetectorConfig) -> None:
-    """Run the stages over consecutive windows; write rows ``i0..`` of ``verdicts``.
+def _fill_rows(rows: np.recarray, chunk: list[Window], stream: SampleStream,
+               cfg: DetectorConfig) -> None:
+    """Run the stages over consecutive windows and write one verdict row each.
 
     With back-to-back windows (step equal to the window length) the chunk's
     blocks are one view of the stream; other geometries stack a copy.
@@ -262,23 +179,29 @@ def _fill_rows(verdicts: Verdicts, i0: int, chunk: list[Window],
         blocks = np.stack([to_block_matrix(w, wcfg.block_len) for w in chunk])
         blocks = blocks.reshape(-1, wcfg.block_len)
     spec = spectrogram(blocks).reshape(len(chunk), wcfg.blocks_per_window, -1)
-    sel = select_bin(spec)
-    sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
-    f = tukey_fences(sigma, cfg.k)
-    flagged, first = classify_window(sigma, f)
-    columns = {
-        "window_start": [w.start_index for w in chunk],
-        "is_event": flagged, "first_outlier_block": np.where(flagged, first, -1),
-        "selected_bin": sel.selected_bin, "delta_p": sel.delta_p,
-        "per_bin_delta": sel.per_bin_delta, "q1": f.q1, "q3": f.q3, "lo": f.lo, "hi": f.hi,
-    }
-    for name, values in columns.items():
-        getattr(verdicts, name)[i0:i0 + len(chunk)] = values
+    rows.window_start = [w.start_index for w in chunk]
+    rows.selected_bin, rows.delta_p, rows.per_bin_delta = select_bin(spec)
+    sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
+    rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)
+    rows.is_event, rows.first_outlier_block = classify_window(sigma, rows.lo, rows.hi)
+
+
+class _Rows(np.recarray):
+    """The verdicts' record array; iterating it gives rows of Python values.
+
+    numpy's own rows hold numpy scalars, which ``json`` refuses, and the
+    bench tracer (``bench/spans.py``) sums ``v.is_event`` over the rows into
+    its JSON report.
+    """
+
+    def __iter__(self) -> Iterator[SimpleNamespace]:
+        names = self.dtype.names
+        return (SimpleNamespace(**dict(zip(names, row))) for row in self.tolist())
 
 
 def detect(
     stream: SampleStream, cfg: DetectorConfig | None = None
-) -> tuple[list[DetectedEvent], Verdicts]:
+) -> tuple[list[DetectedEvent], np.recarray]:
     """Run the full pipeline over a stream.
 
     Consecutive flagged windows are merged into one event; a single clean
@@ -290,7 +213,11 @@ def detect(
     event's window span instead, so sample indices strictly increase.
 
     Returns the merged events and the per-window verdicts, both in stream
-    order. A stream shorter than one window yields no events and no verdicts.
+    order. The verdicts are a record array (``np.recarray``) with one row per
+    window and the fields ``window_start``, ``is_event``, ``first_outlier_block`` (-1 where
+    ``is_event`` is False), ``selected_bin``, ``delta_p``, ``per_bin_delta``
+    (one entry per frequency bin), ``q1``, ``q3``, ``lo`` and ``hi``. A stream
+    shorter than one window yields no events and no verdicts.
 
     Windows are analysed in chunks on one thread per CPU this process may
     use: the calling thread and a pool thread for each further CPU take the
@@ -307,7 +234,12 @@ def detect(
         cfg = DetectorConfig()
     wcfg = cfg.windowing
     all_windows = windows(stream, wcfg)
-    verdicts = Verdicts.empty(len(all_windows), wcfg.block_len // 2 + 1, cfg.k)
+    verdicts = _Rows(len(all_windows), dtype=[
+        ("window_start", np.int64), ("is_event", bool), ("first_outlier_block", np.int64),
+        ("selected_bin", np.int64), ("delta_p", np.float64),
+        ("per_bin_delta", np.float64, (wcfg.block_len // 2 + 1,)),
+        ("q1", np.float64), ("q3", np.float64), ("lo", np.float64), ("hi", np.float64),
+    ])
     workers = _workers()
     per_task = max(1, CHUNK_WINDOWS // workers)
     starts = range(0, len(all_windows), per_task)
@@ -320,7 +252,8 @@ def detect(
             if i0 is None:
                 return
             try:
-                _fill_rows(verdicts, i0, all_windows[i0:i0 + per_task], stream, cfg)
+                _fill_rows(verdicts[i0:i0 + per_task], all_windows[i0:i0 + per_task],
+                           stream, cfg)
             except BaseException:
                 failed.set()
                 raise

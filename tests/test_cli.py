@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import threading
 
 import pytest
@@ -520,11 +521,54 @@ def test_eval_config_echo_filled_from_the_events_header_is_pinned(tmp_path, monk
     assert capsys.readouterr().out.endswith(', "config": %s}\n' % echo[len('{"config": '):-1])
 
 
-def test_eval_header_rate_too_large_for_a_float_exits_1_without_traceback(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["rate", "window", "decimate"])
+def test_eval_header_value_too_large_for_a_float_exits_2_naming_the_key(tmp_path, capsys, key):
     events = tmp_path / "events.jsonl"
-    events.write_text('{"config": {"rate": 1%s}}\n' % ("0" * 400))
+    events.write_text('{"config": {"%s": 1%s}}\n' % (key, "0" * 400))
     truth = tmp_path / "truth.csv"
     truth.write_text("1.0\n")
-    assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 1
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {events}: in the config header: {key} ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("time_s", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_eval_rejects_a_non_finite_event_time(tmp_path, capsys, time_s):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"config": {}}\n'
+                      '{"sample_index": 0, "time_s": %s, "window_start": 0}\n'
+                      '{"sample_index": 6000, "time_s": 1.0, "window_start": 0}\n' % time_s)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0.5\n1.0\n")
+    argv = ["eval", "--input", str(events), "--truth", str(truth), "--tolerance", "0.1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {events}:2: expected ") and len(err.splitlines()) == 1
+
+
+_HUGE = 10**400
+
+
+# any value per key: huge ints, every kind of float, bools, strings and None
+_SETTING = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.sampled_from(cli.FORMATS),
+    st.integers(-3, 10_000), st.integers(-_HUGE, _HUGE),
+    st.sampled_from([2**1023, 2**1024, -(2**1024), 5e-324, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.fixed_dictionaries(
+    {}, optional={key: _SETTING for key in cli.RunConfig.__dataclass_fields__}))
+def test_run_config_builds_or_raises_cli_error(values):
+    try:
+        rc = cli.RunConfig(**values)
+    except cli.CliError:
+        return
+    assert math.isfinite(rc.tolerance_s) and rc.tolerance_s >= 0
+    try:
+        rc.detector
+    except cli.CliError:
+        pass

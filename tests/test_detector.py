@@ -3,7 +3,7 @@ import math
 import sys
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from fencedetect import detector
 from fencedetect.detector import (
     DetectedEvent,
     DetectorConfig,
-    WindowVerdict,
     classify_window,
     delta_p,
     detect,
@@ -67,24 +66,24 @@ def test_delta_p_needs_two_rows():
 
 
 def test_select_bin_tie_breaks_low():
-    sel = select_bin(_spectrogram_like())
-    assert sel.selected_bin == 0
-    assert sel.delta_p == 0.0
+    selected, gap, _ = select_bin(_spectrogram_like())
+    assert selected == 0
+    assert gap == 0.0
 
 
 def test_select_bin_finds_separating_column():
     f = _spectrogram_like()
     f[24:, 3] = 10.0
-    assert select_bin(f).selected_bin == 3
+    assert select_bin(f)[0] == 3
 
 
 def test_select_bin_scale_invariant():
     rng = np.random.default_rng(22)
     for _ in range(50):
         f = np.abs(rng.standard_normal((47, 65)))
-        base = select_bin(f).selected_bin
+        base = select_bin(f)[0]
         for alpha in (1e-3, 0.5, 7.0, 1e4):
-            assert select_bin(alpha * f).selected_bin == base
+            assert select_bin(alpha * f)[0] == base
 
 
 def test_extract_series_copies_column():
@@ -164,69 +163,65 @@ def test_quantile_matches_numpy_oracle():
 
 
 def test_tukey_fences_worked_example():
-    fences = tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.5)
-    assert (fences.q1, fences.q3) == (2.0, 4.0)
-    assert (fences.lo, fences.hi) == (1.0, 5.0)
+    assert tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.5) == (2.0, 4.0, 1.0, 5.0)
 
 
 def test_tukey_fences_degenerate_and_k_zero():
-    fences = tukey_fences(np.full(6, 3.3), 0.5)
-    assert (fences.lo, fences.hi) == (3.3, 3.3)
-    fences = tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.0)
-    assert (fences.lo, fences.hi) == (2.0, 4.0)
+    assert tukey_fences(np.full(6, 3.3), 0.5)[2:] == (3.3, 3.3)
+    assert tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.0)[2:] == (2.0, 4.0)
 
 
 def test_fences_ordering_invariant():
     rng = np.random.default_rng(26)
     for _ in range(200):
         sigma = np.abs(rng.standard_normal(int(rng.integers(1, 60))))
-        fences = tukey_fences(sigma, float(rng.random() * 2))
-        assert fences.lo <= fences.q1 <= fences.q3 <= fences.hi
+        q1, q3, lo, hi = tukey_fences(sigma, float(rng.random() * 2))
+        assert lo <= q1 <= q3 <= hi
 
 
 def test_classify_window_flags_outlier():
     sigma = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
-    assert classify_window(sigma, tukey_fences(sigma, 0.5)) == (True, 4)
+    assert classify_window(sigma, *tukey_fences(sigma, 0.5)[2:]) == (True, 4)
 
 
 def test_classify_window_boundary_is_inside():
     sigma = np.full(3, 2.0)
-    assert classify_window(sigma, tukey_fences(sigma, 0.5)) == (False, None)
+    assert classify_window(sigma, *tukey_fences(sigma, 0.5)[2:]) == (False, -1)
 
 
 def test_classify_window_all_inside():
     sigma = np.array([2.0, 3.0, 4.0])
-    fences = tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.5)
-    assert classify_window(sigma, fences) == (False, None)
+    _, _, lo, hi = tukey_fences(np.array([1.0, 2.0, 3.0, 4.0, 100.0]), 0.5)
+    assert classify_window(sigma, lo, hi) == (False, -1)
 
 
 def test_verdict_invariant_under_sigma_shift():
     rng = np.random.default_rng(27)
     for _ in range(100):
         sigma = np.abs(rng.standard_normal(44))
-        base = classify_window(sigma, tukey_fences(sigma, 0.5))
+        base = classify_window(sigma, *tukey_fences(sigma, 0.5)[2:])
         shifted = sigma + 3.25
-        assert classify_window(shifted, tukey_fences(shifted, 0.5)) == base
+        assert classify_window(shifted, *tukey_fences(shifted, 0.5)[2:]) == base
 
 
 def test_stages_on_a_stack_match_each_window():
     rng = np.random.default_rng(28)
     spec = np.abs(rng.standard_normal((30, 47, 65)))
     spec[::3, 20:, 7] += 5.0  # every third window steps in bin 7
-    sel = select_bin(spec)
-    sigma = forward_std(extract_series(spec, sel.selected_bin))
+    selected, gap, gaps = select_bin(spec)
+    sigma = forward_std(extract_series(spec, selected))
     fences = tukey_fences(sigma, 0.5)
-    flagged, first = classify_window(sigma, fences)
+    flagged, first = classify_window(sigma, *fences[2:])
+    assert ((first == -1) == ~flagged).all()
     for i, window in enumerate(spec):
         one = select_bin(window)
-        assert (one.selected_bin, one.delta_p) == (sel.selected_bin[i], sel.delta_p[i])
-        series_sigma = forward_std(extract_series(window, one.selected_bin))
+        assert (one[0], one[1]) == (selected[i], gap[i])
+        assert one[2].tobytes() == gaps[i].tobytes()
+        series_sigma = forward_std(extract_series(window, one[0]))
         assert series_sigma.tobytes() == sigma[i].tobytes()
         own = tukey_fences(series_sigma, 0.5)
-        assert (own.q1, own.q3, own.lo, own.hi) == (
-            fences.q1[i], fences.q3[i], fences.lo[i], fences.hi[i])
-        verdict = (True, int(first[i])) if flagged[i] else (False, None)
-        assert classify_window(series_sigma, own) == verdict
+        assert own == tuple(column[i] for column in fences)
+        assert classify_window(series_sigma, *own[2:]) == (flagged[i], first[i])
     assert flagged[::3].all()
 
 
@@ -255,13 +250,8 @@ def test_detect_deterministic():
     events_a, verdicts_a = detect(stream)
     events_b, verdicts_b = detect(stream)
     assert events_a == events_b
-    assert len(verdicts_a) == len(verdicts_b)
-    for va, vb in zip(verdicts_a, verdicts_b):
-        assert (va.window_start, va.is_event, va.first_outlier_block) == \
-               (vb.window_start, vb.is_event, vb.first_outlier_block)
-        assert va.fences == vb.fences
-        assert va.selection.selected_bin == vb.selection.selected_bin
-        assert np.array_equal(va.selection.per_bin_delta, vb.selection.per_bin_delta)
+    assert verdicts_a.dtype == verdicts_b.dtype
+    assert verdicts_a.tobytes() == verdicts_b.tobytes()
 
 
 def test_detect_short_stream_is_empty_not_error():
@@ -297,17 +287,34 @@ def test_detector_config_validation():
         DetectorConfig(std_window=48, windowing=WindowingConfig())
 
 
+@dataclass(frozen=True)
+class _Row:
+    """One window's verdict as the per-window reference computes it."""
+
+    window_start: int
+    is_event: bool
+    first_outlier_block: int
+    selected_bin: int
+    delta_p: float
+    per_bin_delta: np.ndarray
+    q1: float
+    q3: float
+    lo: float
+    hi: float
+
+
 def _reference_detect(stream, cfg):
-    """The stages one window at a time, each verdict a WindowVerdict, then the run merge."""
+    """The stages one window at a time, each verdict a ``_Row``, then the run merge."""
     block_len = cfg.windowing.block_len
     verdicts = []
     for w in windows(stream, cfg.windowing):
         spec = spectrogram(to_block_matrix(w, block_len))
-        sel = select_bin(spec)
-        sigma = forward_std(extract_series(spec, sel.selected_bin), cfg.std_window)
-        fences = tukey_fences(sigma, cfg.k)
-        flagged, first = classify_window(sigma, fences)
-        verdicts.append(WindowVerdict(w.start_index, flagged, first, sel, fences))
+        selected, gap, gaps = select_bin(spec)
+        sigma = forward_std(extract_series(spec, selected), cfg.std_window)
+        q1, q3, lo, hi = tukey_fences(sigma, cfg.k)
+        flagged, first = classify_window(sigma, lo, hi)
+        verdicts.append(_Row(w.start_index, bool(flagged), int(first), int(selected),
+                             float(gap), gaps, float(q1), float(q3), float(lo), float(hi)))
     events = []
     in_run = False
     for v in verdicts:
@@ -359,19 +366,8 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
     def check(run):
         stream, cfg = run
         expected_events, rows = _reference_detect(stream, cfg)
-        expected = {
-            "window_start": [v.window_start for v in rows],
-            "is_event": [v.is_event for v in rows],
-            "first_outlier_block": [-1 if v.first_outlier_block is None
-                                    else v.first_outlier_block for v in rows],
-            "selected_bin": [v.selection.selected_bin for v in rows],
-            "delta_p": [v.selection.delta_p for v in rows],
-            "per_bin_delta": [v.selection.per_bin_delta for v in rows],
-            "q1": [v.fences.q1 for v in rows],
-            "q3": [v.fences.q3 for v in rows],
-            "lo": [v.fences.lo for v in rows],
-            "hi": [v.fences.hi for v in rows],
-        }
+        names = [f.name for f in fields(_Row)]
+        expected = {name: [getattr(v, name) for v in rows] for name in names}
         for workers in (1, 2, 3):
             monkeypatch.setattr(detector, "_workers", lambda: workers)
             events, verdicts = detect(stream, cfg)
@@ -381,13 +377,12 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
                 column = getattr(verdicts, name)
                 want = np.array(values, dtype=column.dtype).reshape(column.shape)
                 assert column.tobytes() == want.tobytes(), (name, workers)
+            assert list(verdicts.dtype.names) == names
             # the rows the record iterates as are the reference's rows
             for got, want in zip(verdicts, rows):
-                assert (got.window_start, got.is_event, got.first_outlier_block) == (
-                    want.window_start, want.is_event, want.first_outlier_block)
-                assert got.fences == want.fences
-                assert (got.selection.per_bin_delta.tobytes()
-                        == want.selection.per_bin_delta.tobytes())
+                got, want = vars(got), asdict(want)
+                assert got.pop("per_bin_delta").tobytes() == want.pop("per_bin_delta").tobytes()
+                assert got == want and all(type(got[name]) is type(want[name]) for name in got)
 
     check()
 
@@ -407,9 +402,7 @@ def test_many_threads_with_fast_switching_write_every_row_once(monkeypatch):
         for _ in range(5):
             again_events, again = detect(stream)
             assert again_events == events
-            for f in fields(verdicts):
-                assert (np.asarray(getattr(again, f.name)).tobytes()
-                        == np.asarray(getattr(verdicts, f.name)).tobytes()), f.name
+            assert again.tobytes() == verdicts.tobytes()
         assert time.perf_counter() - started < 30.0
     finally:
         sys.setswitchinterval(interval)
