@@ -7,7 +7,6 @@ generator needed to measure it.
 """
 
 from .detector import (
-    DetectedEvent,
     DetectorConfig,
     classify_window,
     delta_p,
@@ -46,7 +45,6 @@ from .windowing import Window, WindowingConfig, to_block_matrix, windows
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectedEvent",
     "DetectorConfig",
     "GroundTruthEvent",
     "LoadReport",

@@ -12,7 +12,7 @@ from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
-from .detector import DetectedEvent, DetectorConfig, detect
+from .detector import DetectorConfig, detect
 from .evaluation import compute_metrics, count_tn, match_events, metrics_payload
 from .signal_io import (
     FORMATS,
@@ -76,6 +76,10 @@ class RunConfig:
             raise CliError(f"unknown format {self.format!r}, expected one of {FORMATS}")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise CliError(f"rate must be finite and positive, got {self.rate!r}")
+        if not math.isfinite(self.k):
+            raise CliError(f"k must be finite, got {self.k!r}")
+        if self.seed < 0:
+            raise CliError(f"seed must be nonnegative, got {self.seed!r}")
         for key in ("decimate", "window"):
             if getattr(self, key) < 1:
                 raise CliError(f"{key} must be at least 1, got {getattr(self, key)!r}")
@@ -134,14 +138,6 @@ def _given(args: argparse.Namespace) -> dict:
     return given
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load(rc: RunConfig, column: int | None = None) -> SampleStream:
     """Read the input (``column`` of a multichannel CSV when given), note drops, decimate."""
     if column is None:
@@ -154,7 +150,9 @@ def _load(rc: RunConfig, column: int | None = None) -> SampleStream:
     return decimate(stream, rc.decimate) if rc.decimate > 1 else stream
 
 
-# one verdicts row, byte for byte what json.dumps gives for its three keys
+# one events or verdicts row, byte for byte what json.dumps gives for its three keys;
+# %r of a finite Python float is the repr json.dumps writes
+_EVENT_ROW = '{"sample_index": %d, "time_s": %r, "window_start": %d}\n'
 _VERDICT_ROW = '{"window_start": %d, "is_event": %s, "first_outlier_block": %s}\n'
 
 
@@ -170,15 +168,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     events, verdicts = detect(stream, cfg)
 
     header = json.dumps({"config": asdict(rc)})
-    lines = [header] + [
-        json.dumps({
-            "sample_index": ev.sample_index,
-            "time_s": ev.time_s,
-            "window_start": ev.window_span[0],
-        })
-        for ev in events
-    ]
-    _write_lines(lines, rc.out)
+    text = header + "\n" + "".join(_EVENT_ROW % row for row in events.tolist())
+    (Path(rc.out).write_text if rc.out else sys.stdout.write)(text)
 
     if args.verdicts:
         columns = zip(verdicts.window_start.tolist(), verdicts.is_event.tolist(),
@@ -252,14 +243,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rc = RunConfig(**{**geometry, **given})
     except CliError as exc:
         raise CliError(f"{rc.input}: in the config header: {exc}") from None
-    truth = read_ground_truth(rc.truth)
-    detected = [DetectedEvent(index, float(time_s), (start, start))
-                for index, time_s, start in zip(*events.values())]
-    match = match_events(detected, truth, rc.tolerance_s)
+    truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
+    match = match_events(events["time_s"], truth_s, rc.tolerance_s)
     tn = 0
     if args.verdicts:
         _, verdicts = _read_rows(args.verdicts, _VERDICT_KEYS)
-        tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth, rc.tolerance_s,
+        tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth_s, rc.tolerance_s,
                       window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
     payload = metrics_payload(match, compute_metrics(match, tn))
     payload["config"] = asdict(rc)
@@ -339,23 +328,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [replace(rc, **{args.param: value}).detector for value in values]
 
     stream = _load(rc)
-    truth = read_ground_truth(rc.truth)
+    truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
 
-    lines = [
-        "# config: " + json.dumps(asdict(rc)),
-        "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms",
-    ]
+    text = ("# config: " + json.dumps(asdict(rc)) + "\n"
+            "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms\n")
     for value, cfg in zip(values, configs):
         started = time.perf_counter()
         events, _ = detect(stream, cfg)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        match = match_events(events, truth, rc.tolerance_s)
+        match = match_events(events.time_s, truth_s, rc.tolerance_s)
         m = compute_metrics(match)
-        lines.append(
-            f"{value},{match.tp},{match.fp},{match.fn},"
-            f"{m.precision!r},{m.recall!r},{m.f_measure!r},{wall_ms:.1f}"
-        )
-    _write_lines(lines, rc.out)
+        text += (f"{value},{match.tp},{match.fp},{match.fn},"
+                 f"{m.precision!r},{m.recall!r},{m.f_measure!r},{wall_ms:.1f}\n")
+    (Path(rc.out).write_text if rc.out else sys.stdout.write)(text)
     return 0
 
 

@@ -21,7 +21,7 @@ import math
 import os
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,15 +51,6 @@ class DetectorConfig:
             raise ValueError(
                 "std_window cannot exceed the number of blocks per window"
             )
-
-
-@dataclass(frozen=True)
-class DetectedEvent:
-    """A merged run of flagged windows, located to block resolution."""
-
-    sample_index: int
-    time_s: float
-    window_span: tuple[int, int]
 
 
 def delta_p(spectrogram_f: np.ndarray) -> np.ndarray:
@@ -163,23 +154,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rows(rows: np.recarray, chunk: list[Window], stream: SampleStream,
-               cfg: DetectorConfig) -> None:
-    """Run the stages over consecutive windows and write one verdict row each.
+def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> None:
+    """Run the stages over the windows starting at ``rows.window_start``, one verdict row each.
 
-    With back-to-back windows (step equal to the window length) the chunk's
-    blocks are one view of the stream; other geometries stack a copy.
+    With back-to-back windows (step equal to the window length) the blocks
+    are one view of the samples; other geometries concatenate a copy.
     """
     wcfg = cfg.windowing
+    starts = rows.window_start.tolist()
     if wcfg.step == wcfg.window_len:
-        start = chunk[0].start_index
-        span = stream.samples[start:start + len(chunk) * wcfg.window_len]
-        blocks = to_block_matrix(Window(start, span), wcfg.block_len)
+        span = samples[starts[0]:starts[0] + len(starts) * wcfg.window_len]
+        blocks = to_block_matrix(Window(starts[0], span), wcfg.block_len)
     else:
-        blocks = np.stack([to_block_matrix(w, wcfg.block_len) for w in chunk])
-        blocks = blocks.reshape(-1, wcfg.block_len)
-    spec = spectrogram(blocks).reshape(len(chunk), wcfg.blocks_per_window, -1)
-    rows.window_start = [w.start_index for w in chunk]
+        blocks = np.concatenate([to_block_matrix(Window(s, samples[s:s + wcfg.window_len]),
+                                                 wcfg.block_len) for s in starts])
+    spec = spectrogram(blocks).reshape(len(starts), wcfg.blocks_per_window, -1)
     rows.selected_bin, rows.delta_p, rows.per_bin_delta = select_bin(spec)
     sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
     rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)
@@ -201,7 +190,7 @@ class _Rows(np.recarray):
 
 def detect(
     stream: SampleStream, cfg: DetectorConfig | None = None
-) -> tuple[list[DetectedEvent], np.recarray]:
+) -> tuple[np.recarray, np.recarray]:
     """Run the full pipeline over a stream.
 
     Consecutive flagged windows are merged into one event; a single clean
@@ -209,12 +198,14 @@ def detect(
     first outlying block of the first flagged window of its run, converted
     to a sample index, so localization is block-resolution (block_len
     samples) rather than window-resolution. With overlapping windows a run
-    can point at or before the event just emitted; it then extends that
-    event's window span instead, so sample indices strictly increase.
+    can point at or before the event just emitted; it then joins that
+    event instead, so sample indices strictly increase.
 
     Returns the merged events and the per-window verdicts, both in stream
-    order. The verdicts are a record array (``np.recarray``) with one row per
-    window and the fields ``window_start``, ``is_event``, ``first_outlier_block`` (-1 where
+    order, as two record arrays (``np.recarray``). The events have the
+    fields ``sample_index``, ``time_s`` (the index over the sample rate) and
+    ``window_start`` (of the first flagged window of the run). The verdicts
+    have one row per window and the fields ``window_start``, ``is_event``, ``first_outlier_block`` (-1 where
     ``is_event`` is False), ``selected_bin``, ``delta_p``, ``per_bin_delta``
     (one entry per frequency bin), ``q1``, ``q3``, ``lo`` and ``hi``. A stream
     shorter than one window yields no events and no verdicts.
@@ -233,17 +224,18 @@ def detect(
     if cfg is None:
         cfg = DetectorConfig()
     wcfg = cfg.windowing
-    all_windows = windows(stream, wcfg)
-    verdicts = _Rows(len(all_windows), dtype=[
+    starts = windows(stream, wcfg)
+    verdicts = _Rows(len(starts), dtype=[
         ("window_start", np.int64), ("is_event", bool), ("first_outlier_block", np.int64),
         ("selected_bin", np.int64), ("delta_p", np.float64),
         ("per_bin_delta", np.float64, (wcfg.block_len // 2 + 1,)),
         ("q1", np.float64), ("q3", np.float64), ("lo", np.float64), ("hi", np.float64),
     ])
+    verdicts.window_start = starts
     workers = _workers()
     per_task = max(1, CHUNK_WINDOWS // workers)
-    starts = range(0, len(all_windows), per_task)
-    pending, taking, failed = iter(starts), threading.Lock(), threading.Event()
+    chunks = range(0, len(starts), per_task)
+    pending, taking, failed = iter(chunks), threading.Lock(), threading.Event()
 
     def drain() -> None:
         while True:
@@ -252,29 +244,28 @@ def detect(
             if i0 is None:
                 return
             try:
-                _fill_rows(verdicts[i0:i0 + per_task], all_windows[i0:i0 + per_task],
-                           stream, cfg)
+                _fill_rows(verdicts[i0:i0 + per_task], stream.samples, cfg)
             except BaseException:
                 failed.set()
                 raise
 
     # one thread per CPU and at most one per chunk; the caller is one of them
-    helpers = min(workers, len(starts)) - 1
+    helpers = min(workers, len(chunks)) - 1
     with ThreadPoolExecutor(max(1, helpers)) as pool:  # joins the helpers on exit
         futures = [pool.submit(drain) for _ in range(helpers)]
         drain()
         for future in futures:
             future.result()
 
-    events: list[DetectedEvent] = []
+    merged = []  # (sample_index, time_s, window_start) per event
     flagged_at = np.flatnonzero(verdicts.is_event)
     previous = -2
     for i, start, first in zip(flagged_at.tolist(), verdicts.window_start[flagged_at].tolist(),
                                verdicts.first_outlier_block[flagged_at].tolist()):
         index = start + first * wcfg.block_len
-        if i == previous + 1 or (events and index <= events[-1].sample_index):
-            events[-1] = replace(events[-1], window_span=(events[-1].window_span[0], start))
-        else:
-            events.append(DetectedEvent(index, index / stream.sample_rate_hz, (start, start)))
+        if i != previous + 1 and not (merged and index <= merged[-1][0]):
+            merged.append((index, index / stream.sample_rate_hz, start))
         previous = i
+    events = np.rec.fromrecords(merged, dtype=[
+        ("sample_index", np.int64), ("time_s", np.float64), ("window_start", np.int64)])
     return events, verdicts

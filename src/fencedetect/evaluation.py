@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectedEvent
-from .signal_io import GroundTruthEvent
-
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One-to-one pairing of detections with truths under a time tolerance."""
+    """One-to-one ``(detection, truth)`` index pairs, and the unmatched indices of each side."""
 
-    pairs: tuple[tuple[DetectedEvent, GroundTruthEvent], ...]
-    unmatched_detections: tuple[DetectedEvent, ...]
-    unmatched_truths: tuple[GroundTruthEvent, ...]
+    pairs: tuple[tuple[int, int], ...]
+    unmatched_detections: tuple[int, ...]
+    unmatched_truths: tuple[int, ...]
     tolerance_s: float
 
     @property
@@ -41,43 +39,45 @@ class Metrics:
     tn: int
 
 
-def _assert_sorted(times: list[float], what: str) -> None:
-    if any(b < a for a, b in zip(times, times[1:])):
+def _sorted_times(times: Sequence[float], what: str) -> list[float]:
+    values = np.asarray(times, dtype=np.float64).tolist()
+    if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be sorted ascending by time")
+    return values
 
 
 def match_events(
-    detected: list[DetectedEvent],
-    truth: list[GroundTruthEvent],
+    detected_s: Sequence[float],
+    truth_s: Sequence[float],
     tolerance_s: float,
 ) -> MatchResult:
-    """Greedy chronological one-to-one matching.
+    """Greedy chronological one-to-one matching of detection and truth times.
 
     Truths are scanned in order and each takes the earliest still-unmatched
     detection within ``tolerance_s`` seconds. Whatever remains unpaired on
     either side counts as a false positive or false negative. Both inputs
-    must already be sorted by time.
+    must already be sorted ascending.
     """
-    if tolerance_s < 0:
-        raise ValueError("tolerance_s must be nonnegative")
-    _assert_sorted([d.time_s for d in detected], "detections")
-    _assert_sorted([t.time_s for t in truth], "ground truth")
+    if not tolerance_s >= 0:  # NaN too
+        raise ValueError(f"tolerance_s must be nonnegative, got {tolerance_s!r}")
+    detected = _sorted_times(detected_s, "detections")
+    truth = _sorted_times(truth_s, "ground truth")
 
     pairs = []
     false_pos = []
     false_neg = []
     j = 0
-    for t in truth:
+    for i, t in enumerate(truth):
         # detections too early for this truth are too early for all later ones
-        while j < len(detected) and detected[j].time_s < t.time_s - tolerance_s:
-            false_pos.append(detected[j])
+        while j < len(detected) and detected[j] < t - tolerance_s:
+            false_pos.append(j)
             j += 1
-        if j < len(detected) and detected[j].time_s <= t.time_s + tolerance_s:
-            pairs.append((detected[j], t))
+        if j < len(detected) and detected[j] <= t + tolerance_s:
+            pairs.append((j, i))
             j += 1
         else:
-            false_neg.append(t)
-    false_pos.extend(detected[j:])
+            false_neg.append(i)
+    false_pos.extend(range(j, len(detected)))
     return MatchResult(
         pairs=tuple(pairs),
         unmatched_detections=tuple(false_pos),
@@ -113,7 +113,7 @@ def compute_metrics(match: MatchResult, tn: int = 0) -> Metrics:
 def count_tn(
     window_start: np.ndarray,
     is_event: np.ndarray,
-    truth: list[GroundTruthEvent],
+    truth_s: Sequence[float],
     tolerance_s: float,
     window_len: int = 6016,
     sample_rate_hz: float = 6000.0,
@@ -125,7 +125,7 @@ def count_tn(
     sides, contains no ground-truth event. Event lists alone cannot provide
     this count, hence the window granularity.
     """
-    times = np.sort(np.array([t.time_s for t in truth], dtype=np.float64))
+    times = np.sort(np.asarray(truth_s, dtype=np.float64))
     starts = np.asarray(window_start)[~np.asarray(is_event, dtype=bool)]
     lo = starts / sample_rate_hz - tolerance_s
     hi = (starts + window_len) / sample_rate_hz + tolerance_s

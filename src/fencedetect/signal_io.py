@@ -239,7 +239,8 @@ def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
     if count == 0:
         return np.empty(0), 0  # np.memmap refuses a zero-length map
     mapped = np.memmap(path, dtype=dtype, mode="r", shape=(count,))
-    raw = np.asarray(mapped).astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN is dropped, not warned of
+        raw = np.asarray(mapped).astype(np.float64, copy=False)
     finite = np.isfinite(raw)
     dropped = count - int(np.count_nonzero(finite))
     return (raw[finite] if dropped else raw), dropped
@@ -422,13 +423,18 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
     One leading UTF-8 byte-order mark, blank lines and ``#`` comment lines
     are skipped; the first other row is a header when its time field is not
     numeric. Duplicate timestamps are preserved. A time that is unparseable,
-    non-finite or negative raises ``ValueError``.
+    non-finite or negative raises ``ValueError``, as does malformed CSV (an
+    unterminated quote, or a field over the csv module's size limit).
     """
     path = Path(path)
     events: list[GroundTruthEvent] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = ((i, row) for i, row in enumerate(csv.reader(fh))
-                if "".join(row).strip() and not row[0].lstrip().startswith("#"))
+        reader = csv.reader(fh, strict=True)
+        try:
+            rows = [(i, row) for i, row in enumerate(reader)
+                    if "".join(row).strip() and not row[0].lstrip().startswith("#")]
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
         for n, (i, row) in enumerate(rows):
             if n == 0 and not _looks_numeric(row[0]):
                 continue  # header
@@ -445,8 +451,8 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
 
 
 def write_ground_truth(events: list[GroundTruthEvent], path: str | Path) -> None:
-    """Write events as ``time_s[,label]`` rows."""
-    with open(path, "w", newline="") as fh:
+    """Write events as ``time_s[,label]`` UTF-8 rows, as read_ground_truth reads them."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for ev in events:
             writer.writerow([repr(ev.time_s)] + ([ev.label] if ev.label else []))

@@ -34,26 +34,20 @@ class WindowingConfig:
 
 @dataclass(frozen=True)
 class Window:
-    """One analysis window: a start index into the parent stream plus its samples."""
+    """The argument of ``to_block_matrix``: a start index into the stream plus its samples."""
 
     start_index: int
     samples: np.ndarray
 
 
-def windows(stream: SampleStream, cfg: WindowingConfig) -> list[Window]:
-    """Slice the stream into windows at starts 0, step, 2*step, ...
+def windows(stream: SampleStream, cfg: WindowingConfig) -> np.ndarray:
+    """Start index of each window, 0, step, 2*step, ..., as one int64 array.
 
     A trailing stretch shorter than ``window_len`` is dropped, never padded.
-    Returns an empty list when the stream is shorter than one window.
+    The array is empty when the stream is shorter than one window.
     """
-    n = len(stream.samples)
-    if n < cfg.window_len:
-        return []
-    count = (n - cfg.window_len) // cfg.step + 1
-    return [
-        Window(start, stream.samples[start:start + cfg.window_len])
-        for start in range(0, count * cfg.step, cfg.step)
-    ]
+    count = max(0, (len(stream.samples) - cfg.window_len) // cfg.step + 1)
+    return np.arange(count, dtype=np.int64) * cfg.step
 
 
 def to_block_matrix(window: Window, block_len: int) -> np.ndarray:

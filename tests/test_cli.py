@@ -54,7 +54,8 @@ def test_synth_zero_duration_fails(tmp_path, capsys):
                                      ("--event", "10:0.5"), ("--drift-period", "0"),
                                      ("--duration", "nan"), ("--noise-std", "nan"),
                                      ("--drift-depth", "inf"), ("--event", "1:nan"),
-                                     ("--duration", "1e-9"), ("--duration", "1e308")])
+                                     ("--duration", "1e-9"), ("--duration", "1e308"),
+                                     ("--seed", "-1")])
 def test_synth_bad_setting_exits_2(tmp_path, capsys, setting):
     argv = ["synth", "--duration", "10", "--out", str(tmp_path / "w.f64"),
             "--truth", str(tmp_path / "t.csv"), *setting]
@@ -119,7 +120,8 @@ def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting
                                      ("--rate", "-6000"), ("--decimate", "0"),
                                      ("--decimate", "-1"), ("--window", "0"),
                                      ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                     ("--tolerance", "-0.5")])
+                                     ("--tolerance", "-0.5"), ("--k", "nan"), ("--k", "inf"),
+                                     ("--seed", "-1")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", ["detect", "eval", "sweep"])
 def test_bad_shared_setting_rejected_before_loading(tmp_path, capsys, command, source, setting):
@@ -395,7 +397,8 @@ def test_eval_takes_window_from_the_events_header(tmp_path, capsys):
     assert payload["tolerance_s"] == 3008 / 6000
     assert payload["config"]["window"] == 3008
     _, rows = cli._read_rows(str(verdicts), cli._VERDICT_KEYS)
-    expected_tn = count_tn(rows["window_start"], rows["is_event"], read_ground_truth(truth),
+    truth_s = [t.time_s for t in read_ground_truth(truth)]
+    expected_tn = count_tn(rows["window_start"], rows["is_event"], truth_s,
                            3008 / 6000, window_len=3008, sample_rate_hz=6000.0)
     assert payload["tn"] == expected_tn
     # a flag still wins over the header
@@ -547,6 +550,21 @@ def test_eval_rejects_a_non_finite_event_time(tmp_path, capsys, time_s):
     assert err.startswith(f"error: {events}:2: expected ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, line", [
+    ('"1.0\n2.0\n', 2),
+    ('1.0,"on\n2.0,off\n', 2),
+    ("1.0,on\n2.0," + "x" * 131073 + "\n", 2),
+], ids=["open-quoted-time", "open-quoted-label", "oversized-field"])
+def test_eval_malformed_truth_csv_exits_1_naming_its_line(tmp_path, capsys, text, line):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"config": {}}\n{"sample_index": 6000, "time_s": 1.0, "window_start": 0}\n')
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text)
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {truth}:{line}: malformed CSV: ") and len(err.splitlines()) == 1
+
+
 _HUGE = 10**400
 
 
@@ -568,6 +586,7 @@ def test_run_config_builds_or_raises_cli_error(values):
     except cli.CliError:
         return
     assert math.isfinite(rc.tolerance_s) and rc.tolerance_s >= 0
+    assert math.isfinite(rc.k) and rc.seed >= 0
     try:
         rc.detector
     except cli.CliError:

@@ -3,7 +3,7 @@ import math
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fencedetect import detector
 from fencedetect.detector import (
-    DetectedEvent,
     DetectorConfig,
     classify_window,
     delta_p,
@@ -25,7 +24,7 @@ from fencedetect.detector import (
 )
 from fencedetect.signal_io import SampleStream, SyntheticSpec, generate_synthetic
 from fencedetect.spectral import spectrogram
-from fencedetect.windowing import WindowingConfig, to_block_matrix, windows
+from fencedetect.windowing import Window, WindowingConfig, to_block_matrix, windows
 
 
 def _spectrogram_like(rows=47, cols=65, fill=0.0):
@@ -229,7 +228,7 @@ def test_detect_stationary_sinusoid_has_no_events():
     spec = SyntheticSpec(duration_s=20.0, noise_std_a=0.0, seed=5)
     stream, _ = generate_synthetic(spec)
     events, verdicts = detect(stream)
-    assert events == []
+    assert len(events) == 0
     assert all(not v.is_event for v in verdicts)
 
 
@@ -249,7 +248,7 @@ def test_detect_deterministic():
     stream, _ = generate_synthetic(spec)
     events_a, verdicts_a = detect(stream)
     events_b, verdicts_b = detect(stream)
-    assert events_a == events_b
+    assert events_a.tobytes() == events_b.tobytes()
     assert verdicts_a.dtype == verdicts_b.dtype
     assert verdicts_a.tobytes() == verdicts_b.tobytes()
 
@@ -257,7 +256,7 @@ def test_detect_deterministic():
 def test_detect_short_stream_is_empty_not_error():
     stream = SampleStream(np.zeros(100), 6000.0)
     events, verdicts = detect(stream)
-    assert events == [] and len(verdicts) == 0
+    assert len(events) == 0 and len(verdicts) == 0
 
 
 def test_detect_events_strictly_increasing_and_spans_merged():
@@ -268,14 +267,13 @@ def test_detect_events_strictly_increasing_and_spans_merged():
     stream, _ = generate_synthetic(spec)
     events, verdicts = detect(stream)
     assert len(events) == 3
-    indices = [ev.sample_index for ev in events]
+    indices = events.sample_index.tolist()
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)
-    flagged = {v.window_start for v in verdicts if v.is_event}
+    flagged = set(verdicts.window_start[verdicts.is_event].tolist())
     for ev in events:
-        first, last = ev.window_span
-        assert first in flagged and last in flagged
-        assert first <= ev.sample_index <= last + 6016
+        assert ev.window_start in flagged
+        assert ev.window_start <= ev.sample_index < ev.window_start + 6016
 
 
 def test_detector_config_validation():
@@ -304,28 +302,29 @@ class _Row:
 
 
 def _reference_detect(stream, cfg):
-    """The stages one window at a time, each verdict a ``_Row``, then the run merge."""
+    """The stages one window at a time, each verdict a ``_Row``, then the run merge.
+
+    Events are ``(sample_index, time_s, window_start)`` tuples.
+    """
     block_len = cfg.windowing.block_len
+    window_len = cfg.windowing.window_len
     verdicts = []
-    for w in windows(stream, cfg.windowing):
-        spec = spectrogram(to_block_matrix(w, block_len))
+    for start in windows(stream, cfg.windowing).tolist():
+        window = Window(start, stream.samples[start:start + window_len])
+        spec = spectrogram(to_block_matrix(window, block_len))
         selected, gap, gaps = select_bin(spec)
         sigma = forward_std(extract_series(spec, selected), cfg.std_window)
         q1, q3, lo, hi = tukey_fences(sigma, cfg.k)
         flagged, first = classify_window(sigma, lo, hi)
-        verdicts.append(_Row(w.start_index, bool(flagged), int(first), int(selected),
+        verdicts.append(_Row(start, bool(flagged), int(first), int(selected),
                              float(gap), gaps, float(q1), float(q3), float(lo), float(hi)))
     events = []
     in_run = False
     for v in verdicts:
         if v.is_event:
             index = v.window_start + v.first_outlier_block * block_len
-            if in_run or (events and index <= events[-1].sample_index):
-                span = (events[-1].window_span[0], v.window_start)
-                events[-1] = replace(events[-1], window_span=span)
-            else:
-                span = (v.window_start, v.window_start)
-                events.append(DetectedEvent(index, index / stream.sample_rate_hz, span))
+            if not in_run and not (events and index <= events[-1][0]):
+                events.append((index, index / stream.sample_rate_hz, v.window_start))
         in_run = v.is_event
     return events, verdicts
 
@@ -371,7 +370,7 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
         for workers in (1, 2, 3):
             monkeypatch.setattr(detector, "_workers", lambda: workers)
             events, verdicts = detect(stream, cfg)
-            assert events == expected_events, workers
+            assert events.tolist() == expected_events, workers
             assert len(verdicts) == len(rows)
             for name, values in expected.items():
                 column = getattr(verdicts, name)
@@ -401,7 +400,7 @@ def test_many_threads_with_fast_switching_write_every_row_once(monkeypatch):
         started = time.perf_counter()
         for _ in range(5):
             again_events, again = detect(stream)
-            assert again_events == events
+            assert again_events.tobytes() == events.tobytes()
             assert again.tobytes() == verdicts.tobytes()
         assert time.perf_counter() - started < 30.0
     finally:

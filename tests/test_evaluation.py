@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fencedetect.detector import DetectedEvent
 from fencedetect.evaluation import (
     compute_metrics,
     count_tn,
@@ -13,41 +12,31 @@ from fencedetect.evaluation import (
     metrics_from_counts,
     metrics_payload,
 )
-from fencedetect.signal_io import GroundTruthEvent
-
-
-def _det(time_s):
-    idx = int(round(time_s * 6000))
-    return DetectedEvent(sample_index=idx, time_s=time_s, window_span=(idx, idx))
-
-
-def _truth(*times):
-    return [GroundTruthEvent(t) for t in times]
 
 
 def test_match_within_tolerance():
-    result = match_events([_det(100.0)], _truth(100.5), 1.0)
+    result = match_events([100.0], [100.5], 1.0)
     assert (result.tp, result.fp, result.fn) == (1, 0, 0)
 
 
 def test_match_empty_detections():
-    result = match_events([], _truth(5.0), 1.0)
+    result = match_events([], [5.0], 1.0)
     assert (result.tp, result.fp, result.fn) == (0, 0, 1)
 
 
 def test_match_greedy_takes_earliest():
-    result = match_events([_det(10.0), _det(10.2)], _truth(10.1), 0.5)
+    result = match_events([10.0, 10.2], [10.1], 0.5)
     assert (result.tp, result.fp) == (1, 1)
-    matched_detection, _ = result.pairs[0]
-    assert matched_detection.time_s == 10.0
-    assert result.unmatched_detections[0].time_s == 10.2
+    assert result.pairs == ((0, 0),)
+    assert result.unmatched_detections == (1,)
+    assert result.unmatched_truths == ()
 
 
 def test_match_rejects_unsorted():
     with pytest.raises(ValueError):
-        match_events([_det(2.0), _det(1.0)], [], 0.5)
+        match_events([2.0, 1.0], [], 0.5)
     with pytest.raises(ValueError):
-        match_events([], _truth(2.0, 1.0), 0.5)
+        match_events([], [2.0, 1.0], 0.5)
 
 
 def test_match_rejects_negative_tolerance():
@@ -55,27 +44,38 @@ def test_match_rejects_negative_tolerance():
         match_events([], [], -1.0)
 
 
+def test_match_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance_s"):
+        match_events([1.0], [1.0], float("nan"))
+
+
 def test_match_duplicate_truths_one_to_one():
-    result = match_events([_det(1.0)], _truth(1.0, 1.0), 0.5)
+    result = match_events([1.0], [1.0, 1.0], 0.5)
     assert (result.tp, result.fn) == (1, 1)
+    assert result.pairs == ((0, 0),) and result.unmatched_truths == (1,)
 
 
 def test_match_count_invariants_random():
     rng = np.random.default_rng(31)
     for _ in range(200):
-        detected = [_det(t) for t in sorted(rng.uniform(0, 100, rng.integers(0, 20)))]
-        truth = _truth(*sorted(rng.uniform(0, 100, rng.integers(0, 20))))
+        detected = np.sort(rng.uniform(0, 100, rng.integers(0, 20)))
+        truth = np.sort(rng.uniform(0, 100, rng.integers(0, 20)))
         tol = float(rng.uniform(0, 5))
         result = match_events(detected, truth, tol)
         assert result.tp + result.fn == len(truth)
         assert result.tp + result.fp == len(detected)
+        # every index lands on exactly one side, and each pair lies within the tolerance
+        d, t = np.array(result.pairs, dtype=np.int64).reshape(-1, 2).T
+        assert sorted([*d, *result.unmatched_detections]) == list(range(len(detected)))
+        assert sorted([*t, *result.unmatched_truths]) == list(range(len(truth)))
+        assert np.all(np.abs(detected[d] - truth[t]) <= tol)
 
 
 def test_match_tolerance_monotonicity():
     rng = np.random.default_rng(32)
     for _ in range(100):
-        detected = [_det(t) for t in sorted(rng.uniform(0, 50, rng.integers(0, 15)))]
-        truth = _truth(*sorted(rng.uniform(0, 50, rng.integers(0, 15))))
+        detected = np.sort(rng.uniform(0, 50, rng.integers(0, 15)))
+        truth = np.sort(rng.uniform(0, 50, rng.integers(0, 15)))
         tps = [match_events(detected, truth, tol).tp
                for tol in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert tps == sorted(tps)
@@ -116,7 +116,7 @@ def test_metrics_rejects_negative_counts():
 
 
 def test_compute_metrics_reads_match_result():
-    match = match_events([_det(1.0), _det(50.0)], _truth(1.2), 1.0)
+    match = match_events([1.0, 50.0], [1.2], 1.0)
     m = compute_metrics(match, tn=7)
     assert (match.tp, match.fp, match.fn) == (1, 1, 0)
     assert m.precision == 0.5 and m.recall == 1.0 and m.tn == 7
@@ -130,9 +130,9 @@ def test_count_tn_no_truth():
 def test_count_tn_excludes_windows_near_truth():
     starts, flags = np.array([0]), np.array([False])
     # event at 0.5 s sits inside the window span
-    assert count_tn(starts, flags, _truth(0.5), 1.0) == 0
+    assert count_tn(starts, flags, [0.5], 1.0) == 0
     # event well past the widened span does not block the count
-    assert count_tn(starts, flags, _truth(10.0), 1.0) == 1
+    assert count_tn(starts, flags, [10.0], 1.0) == 1
 
 
 def test_count_tn_ignores_flagged_windows():
@@ -140,12 +140,12 @@ def test_count_tn_ignores_flagged_windows():
 
 
 def test_count_tn_empty():
-    assert count_tn(np.array([], np.int64), np.array([], bool), _truth(1.0), 1.0) == 0
+    assert count_tn(np.array([], np.int64), np.array([], bool), [1.0], 1.0) == 0
 
 
 def _count_tn_per_window(starts, flags, truth, tolerance_s, window_len, sample_rate_hz):
     """Reference: one bisect over the sorted truth times per unflagged window."""
-    times = sorted(t.time_s for t in truth)
+    times = sorted(truth)
     tn = 0
     for start, flagged in zip(starts, flags):
         if flagged:
@@ -177,19 +177,18 @@ def test_count_tn_matches_per_window_bisect(data, starts, flags, truth, toleranc
                                           (s + window_len) / sample_rate_hz + tolerance_s)]
     if bounds:
         truth = truth + data.draw(st.lists(st.sampled_from(bounds), max_size=4))
-    events = _truth(*truth)
-    expected = _count_tn_per_window(starts, flags, events, tolerance_s, window_len,
+    expected = _count_tn_per_window(starts, flags, truth, tolerance_s, window_len,
                                     sample_rate_hz)
-    got = count_tn(np.array(starts, np.int64), np.array(flags, bool), events, tolerance_s,
-                   window_len=window_len, sample_rate_hz=sample_rate_hz)
+    got = count_tn(np.array(starts, np.int64), np.array(flags, bool), np.array(truth),
+                   tolerance_s, window_len=window_len, sample_rate_hz=sample_rate_hz)
     assert got == expected
     # lists, as eval's row reader gives them, count the same
-    assert count_tn(starts, flags, events, tolerance_s, window_len=window_len,
+    assert count_tn(starts, flags, truth, tolerance_s, window_len=window_len,
                     sample_rate_hz=sample_rate_hz) == expected
 
 
 def test_metrics_payload_key_set():
-    match = match_events([_det(1.0)], _truth(1.1), 1.0)
+    match = match_events([1.0], [1.1], 1.0)
     payload = metrics_payload(match, compute_metrics(match, tn=3))
     assert list(payload) == [
         "tp", "fp", "fn", "tn", "precision", "recall",

@@ -421,6 +421,103 @@ def test_ground_truth_round_trip(tmp_path):
     assert read_ground_truth(path) == events
 
 
+def test_ground_truth_quoted_labels_load(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text('2.0,"kettle, on"\n1.0,"say ""off"""\n"3.0"," two\nlines "\n')
+    assert read_ground_truth(path) == [GroundTruthEvent(1.0, 'say "off"'),
+                                       GroundTruthEvent(2.0, "kettle, on"),
+                                       GroundTruthEvent(3.0, "two\nlines")]
+
+
+def test_ground_truth_oversized_field_rejected(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("1.0,on\n2.0," + "x" * 131073 + "\n")
+    with pytest.raises(ValueError, match=r"truth\.csv:2: malformed CSV: field larger"):
+        read_ground_truth(path)
+
+
+def test_ground_truth_unterminated_quoted_time_rejected(tmp_path):
+    # the quote would otherwise swallow every later line into one header field
+    path = tmp_path / "truth.csv"
+    path.write_text('"1.0\n2.0\n')
+    with pytest.raises(ValueError, match=r"truth\.csv:2: malformed CSV: unexpected end"):
+        read_ground_truth(path)
+
+
+def test_ground_truth_unterminated_quoted_label_rejected(tmp_path):
+    # the quote would otherwise swallow the second row into the first one's label
+    path = tmp_path / "truth.csv"
+    path.write_text('1.0,"on\n2.0,off\n')
+    with pytest.raises(ValueError, match=r"truth\.csv:2: malformed CSV: unexpected end"):
+        read_ground_truth(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(st.one_of(st.sampled_from('0123456789.,"#e-+ \t\r\n'),
+                              st.characters(blacklist_categories=("Cs",))), max_size=60))
+def test_ground_truth_any_text_loads_sorted_or_raises_value_error(tmp_path, text):
+    path = tmp_path / "truth.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        events = read_ground_truth(path)
+    except ValueError:
+        return
+    times = [ev.time_s for ev in events]
+    assert times == sorted(times)
+    assert all(np.isfinite(t) and t >= 0 for t in times)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.one_of(st.none(), st.text(st.one_of(st.sampled_from(',"\r\n #'),
+                                           st.characters(blacklist_categories=("Cs",))),
+                                 max_size=12)),
+), max_size=12))
+def test_ground_truth_write_then_read_round_trips(tmp_path, rows):
+    path = tmp_path / "truth.csv"
+    write_ground_truth([GroundTruthEvent(t, label) for t, label in rows], path)
+    want = sorted(((t, (label or "").strip() or None) for t, label in rows), key=lambda r: r[0])
+    assert [(ev.time_s, ev.label) for ev in read_ground_truth(path)] == want
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -np.nan, 0.0, -0.0, 1.5]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a signalling NaN is dropped without a warning
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt_dtype=st.sampled_from(RAW_FORMATS), data=st.data())
+def test_raw_loader_matches_fromfile_with_a_finite_mask(tmp_path, fmt_dtype, data):
+    fmt, dtype = fmt_dtype
+    itemsize = np.dtype(dtype).itemsize
+    # random bytes, whole samples drawn from special values (NaN payloads
+    # included), and a trailing partial sample, in any order
+    pieces = data.draw(st.lists(st.one_of(
+        st.binary(max_size=3 * itemsize),
+        st.sampled_from(_SPECIAL).map(lambda v: np.array([v], dtype=dtype).tobytes()),
+        st.integers(0, 2**(8 * itemsize) - 1).map(lambda bits: np.array(
+            [bits | (0x7FF << 52 if itemsize == 8 else 0x7F8 << 20)],
+            dtype=f"<u{itemsize}").tobytes()),
+    ), max_size=8))
+    raw = b"".join(pieces) + data.draw(st.binary(max_size=itemsize - 1))
+    path = tmp_path / "wave.raw"
+    path.write_bytes(raw)
+    expected = np.fromfile(path, dtype=dtype, count=len(raw) // itemsize)
+    expected = expected[np.isfinite(expected)].astype(np.float64)
+    if len(expected) == 0:
+        with pytest.raises(ValueError, match="no valid samples"):
+            read_waveform(path, fmt, 6000.0)
+        return
+    stream, report = read_waveform(path, fmt, 6000.0)
+    assert stream.samples.dtype == np.float64
+    assert stream.samples.tobytes() == expected.tobytes()
+    assert report.kept == len(expected)
+    assert report.kept + report.dropped == len(raw) // itemsize
+
+
 def test_stream_requires_positive_rate():
     with pytest.raises(ValueError):
         SampleStream(np.arange(4.0), 0.0)
