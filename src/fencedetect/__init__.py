@@ -17,15 +17,7 @@ from .detector import (
     select_bin,
     tukey_fences,
 )
-from .evaluation import (
-    MatchResult,
-    Metrics,
-    compute_metrics,
-    count_tn,
-    match_events,
-    metrics_from_counts,
-    metrics_payload,
-)
+from .evaluation import MatchResult, count_tn, match_events, metrics_from_counts
 from .signal_io import (
     GroundTruthEvent,
     LoadReport,
@@ -40,7 +32,7 @@ from .signal_io import (
     write_waveform,
 )
 from .spectral import dft_naive, magnitude_spectrum, spectrogram
-from .windowing import Window, WindowingConfig, to_block_matrix, windows
+from .windowing import Window, to_block_matrix, windows
 
 __version__ = "0.1.0"
 
@@ -49,13 +41,10 @@ __all__ = [
     "GroundTruthEvent",
     "LoadReport",
     "MatchResult",
-    "Metrics",
     "SampleStream",
     "SyntheticSpec",
     "Window",
-    "WindowingConfig",
     "classify_window",
-    "compute_metrics",
     "count_tn",
     "decimate",
     "delta_p",
@@ -67,7 +56,6 @@ __all__ = [
     "magnitude_spectrum",
     "match_events",
     "metrics_from_counts",
-    "metrics_payload",
     "quantile",
     "read_ground_truth",
     "read_multichannel_csv",

@@ -13,7 +13,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .detector import DetectorConfig, detect
-from .evaluation import compute_metrics, count_tn, match_events, metrics_payload
+from .evaluation import count_tn, match_events, metrics_from_counts
 from .signal_io import (
     FORMATS,
     SampleStream,
@@ -26,7 +26,6 @@ from .signal_io import (
     write_ground_truth,
     write_waveform,
 )
-from .windowing import WindowingConfig
 
 
 class CliError(Exception):
@@ -49,11 +48,11 @@ class RunConfig:
     format: str = "csv"
     rate: float = 6000.0
     decimate: int = 1
-    window: int = 6016
-    step: int = 6016
-    block: int = 128
-    k: float = 0.5
-    std_window: int = 4
+    window: int = DetectorConfig.window_len
+    step: int = DetectorConfig.step
+    block: int = DetectorConfig.block_len
+    k: float = DetectorConfig.k
+    std_window: int = DetectorConfig.std_window
     truth: str | None = None
     tolerance: float | None = None
     seed: int = 0
@@ -94,8 +93,8 @@ class RunConfig:
     def detector(self) -> DetectorConfig:
         """The detector settings; ``CliError`` when the geometry, k or std_window is bad."""
         try:
-            wcfg = WindowingConfig(self.window, self.step, self.block)
-            return DetectorConfig(k=self.k, std_window=self.std_window, windowing=wcfg)
+            return DetectorConfig(window_len=self.window, step=self.step, block_len=self.block,
+                                  k=self.k, std_window=self.std_window)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
 
@@ -237,12 +236,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not rc.truth:
         raise CliError("eval needs --truth")
     header, events = _read_rows(rc.input, _EVENT_KEYS)
-    # the geometry detect ran with, unless a setting says otherwise
-    geometry = {key: header[key] for key in ("window", "rate", "decimate") if key in header}
+    # the settings detect ran with, unless a flag or the config file says otherwise
+    ran = {key: header[key] for key in ("window", "step", "block", "k", "std_window", "rate",
+                                        "decimate") if key in header}
     try:
-        rc = RunConfig(**{**geometry, **given})
+        rc = RunConfig(**{**ran, **given})
     except CliError as exc:
         raise CliError(f"{rc.input}: in the config header: {exc}") from None
+    rc.detector  # CliError (exit 2) when no detect run could use the merged settings
     truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
     match = match_events(events["time_s"], truth_s, rc.tolerance_s)
     tn = 0
@@ -250,9 +251,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _, verdicts = _read_rows(args.verdicts, _VERDICT_KEYS)
         tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth_s, rc.tolerance_s,
                       window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
-    payload = metrics_payload(match, compute_metrics(match, tn))
-    payload["config"] = asdict(rc)
-    text = json.dumps(payload)
+    text = json.dumps({**metrics_from_counts(match.tp, match.fp, match.fn, tn),
+                       "tolerance_s": rc.tolerance_s, "config": asdict(rc)})
     print(text)
     if rc.out:
         Path(rc.out).write_text(text + "\n")
@@ -337,9 +337,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         events, _ = detect(stream, cfg)
         wall_ms = (time.perf_counter() - started) * 1000.0
         match = match_events(events.time_s, truth_s, rc.tolerance_s)
-        m = compute_metrics(match)
-        text += (f"{value},{match.tp},{match.fp},{match.fn},"
-                 f"{m.precision!r},{m.recall!r},{m.f_measure!r},{wall_ms:.1f}\n")
+        m = metrics_from_counts(match.tp, match.fp, match.fn)
+        text += (f"{value},{m['tp']},{m['fp']},{m['fn']},"
+                 f"{m['precision']!r},{m['recall']!r},{m['f_measure']!r},{wall_ms:.1f}\n")
     (Path(rc.out).write_text if rc.out else sys.stdout.write)(text)
     return 0
 

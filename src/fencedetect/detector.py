@@ -21,14 +21,14 @@ import math
 import os
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .signal_io import SampleStream
 from .spectral import spectrogram
-from .windowing import Window, WindowingConfig, to_block_matrix, windows
+from .windowing import Window, to_block_matrix, windows
 
 # windows in flight at once over all threads; bounds the blocks and spectra held
 CHUNK_WINDOWS = 256
@@ -36,21 +36,38 @@ CHUNK_WINDOWS = 256
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Tukey constant, deviation window width, and the window geometry."""
+    """Window geometry in samples, the Tukey constant and the deviation width in blocks.
 
+    block_len, the FFT length, is a power of two that divides window_len.
+    """
+
+    window_len: int = 6016
+    step: int = 6016
+    block_len: int = 128
     k: float = 0.5
     std_window: int = 4
-    windowing: WindowingConfig = field(default_factory=WindowingConfig)
 
     def __post_init__(self) -> None:
+        if self.window_len < 1 or self.step < 1 or self.block_len < 1:
+            raise ValueError("window_len, step and block_len must be positive")
+        if self.block_len < 2 or self.block_len & (self.block_len - 1):
+            raise ValueError(f"block_len must be a power of two >= 2, got {self.block_len}")
+        if self.window_len % self.block_len != 0:
+            raise ValueError(
+                f"block_len {self.block_len} does not divide window_len {self.window_len}"
+            )
         if not (math.isfinite(self.k) and self.k >= 0):
             raise ValueError("k must be finite and nonnegative")
         if self.std_window < 2:
             raise ValueError("std_window must be at least 2")
-        if self.std_window > self.windowing.blocks_per_window:
+        if self.std_window > self.blocks_per_window:
             raise ValueError(
                 "std_window cannot exceed the number of blocks per window"
             )
+
+    @property
+    def blocks_per_window(self) -> int:
+        return self.window_len // self.block_len
 
 
 def delta_p(spectrogram_f: np.ndarray) -> np.ndarray:
@@ -160,15 +177,14 @@ def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> N
     With back-to-back windows (step equal to the window length) the blocks
     are one view of the samples; other geometries concatenate a copy.
     """
-    wcfg = cfg.windowing
     starts = rows.window_start.tolist()
-    if wcfg.step == wcfg.window_len:
-        span = samples[starts[0]:starts[0] + len(starts) * wcfg.window_len]
-        blocks = to_block_matrix(Window(starts[0], span), wcfg.block_len)
+    if cfg.step == cfg.window_len:
+        span = samples[starts[0]:starts[0] + len(starts) * cfg.window_len]
+        blocks = to_block_matrix(Window(starts[0], span), cfg.block_len)
     else:
-        blocks = np.concatenate([to_block_matrix(Window(s, samples[s:s + wcfg.window_len]),
-                                                 wcfg.block_len) for s in starts])
-    spec = spectrogram(blocks).reshape(len(starts), wcfg.blocks_per_window, -1)
+        blocks = np.concatenate([to_block_matrix(Window(s, samples[s:s + cfg.window_len]),
+                                                 cfg.block_len) for s in starts])
+    spec = spectrogram(blocks).reshape(len(starts), cfg.blocks_per_window, -1)
     rows.selected_bin, rows.delta_p, rows.per_bin_delta = select_bin(spec)
     sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
     rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)
@@ -223,12 +239,11 @@ def detect(
 
     if cfg is None:
         cfg = DetectorConfig()
-    wcfg = cfg.windowing
-    starts = windows(stream, wcfg)
+    starts = windows(stream, cfg)
     verdicts = _Rows(len(starts), dtype=[
         ("window_start", np.int64), ("is_event", bool), ("first_outlier_block", np.int64),
         ("selected_bin", np.int64), ("delta_p", np.float64),
-        ("per_bin_delta", np.float64, (wcfg.block_len // 2 + 1,)),
+        ("per_bin_delta", np.float64, (cfg.block_len // 2 + 1,)),
         ("q1", np.float64), ("q3", np.float64), ("lo", np.float64), ("hi", np.float64),
     ])
     verdicts.window_start = starts
@@ -262,7 +277,7 @@ def detect(
     previous = -2
     for i, start, first in zip(flagged_at.tolist(), verdicts.window_start[flagged_at].tolist(),
                                verdicts.first_outlier_block[flagged_at].tolist()):
-        index = start + first * wcfg.block_len
+        index = start + first * cfg.block_len
         if i != previous + 1 and not (merged and index <= merged[-1][0]):
             merged.append((index, index / stream.sample_rate_hz, start))
         previous = i

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ class MatchResult:
     pairs: tuple[tuple[int, int], ...]
     unmatched_detections: tuple[int, ...]
     unmatched_truths: tuple[int, ...]
-    tolerance_s: float
 
     @property
     def tp(self) -> int:
@@ -30,17 +30,10 @@ class MatchResult:
         return len(self.unmatched_truths)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    precision: float
-    recall: float
-    f_measure: float
-    accuracy: float
-    tn: int
-
-
 def _sorted_times(times: Sequence[float], what: str) -> list[float]:
     values = np.asarray(times, dtype=np.float64).tolist()
+    if any(math.isnan(v) for v in values):  # NaN compares false, so it passes any order check
+        raise ValueError(f"NaN time in {what}")
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be sorted ascending by time")
     return values
@@ -82,12 +75,15 @@ def match_events(
         pairs=tuple(pairs),
         unmatched_detections=tuple(false_pos),
         unmatched_truths=tuple(false_neg),
-        tolerance_s=tolerance_s,
     )
 
 
-def metrics_from_counts(tp: int, fp: int, fn: int, tn: int = 0) -> Metrics:
-    """Precision, recall, F-measure and accuracy, with 0 for empty ratios."""
+def metrics_from_counts(tp: int, fp: int, fn: int, tn: int = 0) -> dict:
+    """The counts, then precision, recall, F-measure and accuracy, with 0 for empty ratios.
+
+    The keys are ``tp``, ``fp``, ``fn``, ``tn``, ``precision``, ``recall``,
+    ``f_measure`` and ``accuracy``, in that order, as ``eval`` prints them.
+    """
     if min(tp, fp, fn, tn) < 0:
         raise ValueError("counts must be nonnegative")
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -97,17 +93,8 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int = 0) -> Metrics:
     )
     total = tp + tn + fp + fn
     accuracy = (tp + tn) / total if total else 0.0
-    return Metrics(
-        precision=precision,
-        recall=recall,
-        f_measure=f_measure,
-        accuracy=accuracy,
-        tn=tn,
-    )
-
-
-def compute_metrics(match: MatchResult, tn: int = 0) -> Metrics:
-    return metrics_from_counts(match.tp, match.fp, match.fn, tn)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn, "precision": precision, "recall": recall,
+            "f_measure": f_measure, "accuracy": accuracy}
 
 
 def count_tn(
@@ -115,15 +102,18 @@ def count_tn(
     is_event: np.ndarray,
     truth_s: Sequence[float],
     tolerance_s: float,
-    window_len: int = 6016,
-    sample_rate_hz: float = 6000.0,
+    *,
+    window_len: int,
+    sample_rate_hz: float,
 ) -> int:
     """Count quiet windows that were rightly quiet.
 
     A true negative is an unflagged window (one entry of ``window_start``
     and ``is_event`` each) whose span, widened by the tolerance on both
     sides, contains no ground-truth event. Event lists alone cannot provide
-    this count, hence the window granularity.
+    this count, hence the window granularity. ``window_len`` and
+    ``sample_rate_hz`` are those of the detect run that flagged the windows;
+    any other pair miscounts silently, so neither has a default.
     """
     times = np.sort(np.asarray(truth_s, dtype=np.float64))
     starts = np.asarray(window_start)[~np.asarray(is_event, dtype=bool)]
@@ -134,17 +124,3 @@ def count_tn(
     clear = (first == len(times)) | (np.append(times, np.inf)[first] > hi)
     return int(np.count_nonzero(clear))
 
-
-def metrics_payload(match: MatchResult, metrics: Metrics) -> dict:
-    """The canonical JSON-ready summary of one evaluation."""
-    return {
-        "tp": match.tp,
-        "fp": match.fp,
-        "fn": match.fn,
-        "tn": metrics.tn,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f_measure": metrics.f_measure,
-        "accuracy": metrics.accuracy,
-        "tolerance_s": match.tolerance_s,
-    }

@@ -3,33 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .signal_io import SampleStream
 
-
-@dataclass(frozen=True)
-class WindowingConfig:
-    """Window geometry in samples; block_len, the FFT length, is a power of two."""
-
-    window_len: int = 6016
-    step: int = 6016
-    block_len: int = 128
-
-    def __post_init__(self) -> None:
-        if self.window_len < 1 or self.step < 1 or self.block_len < 1:
-            raise ValueError("window_len, step and block_len must be positive")
-        if self.block_len < 2 or self.block_len & (self.block_len - 1):
-            raise ValueError(f"block_len must be a power of two >= 2, got {self.block_len}")
-        if self.window_len % self.block_len != 0:
-            raise ValueError(
-                f"block_len {self.block_len} does not divide window_len {self.window_len}"
-            )
-
-    @property
-    def blocks_per_window(self) -> int:
-        return self.window_len // self.block_len
+if TYPE_CHECKING:  # the detector module imports this one
+    from .detector import DetectorConfig
 
 
 @dataclass(frozen=True)
@@ -40,7 +21,7 @@ class Window:
     samples: np.ndarray
 
 
-def windows(stream: SampleStream, cfg: WindowingConfig) -> np.ndarray:
+def windows(stream: SampleStream, cfg: DetectorConfig) -> np.ndarray:
     """Start index of each window, 0, step, 2*step, ..., as one int64 array.
 
     A trailing stretch shorter than ``window_len`` is dropped, never padded.

@@ -16,6 +16,7 @@ import pytest
 
 from fencedetect import cli, detector
 from fencedetect.detector import (
+    DetectorConfig,
     classify_window,
     detect,
     extract_series,
@@ -34,7 +35,7 @@ from fencedetect.signal_io import (
     write_waveform,
 )
 from fencedetect.spectral import dft_naive, magnitude_spectrum, spectrogram
-from fencedetect.windowing import Window, WindowingConfig, to_block_matrix, windows
+from fencedetect.windowing import Window, to_block_matrix, windows
 
 RATE = 6000.0
 WINDOW = 6016
@@ -127,7 +128,7 @@ def test_pipeline_unit_examples():
     checks.append(len(decimate(stream, 2)) == 6001)
 
     small = SampleStream(np.arange(6400.0), RATE)
-    starts = windows(small, WindowingConfig(step=128))
+    starts = windows(small, DetectorConfig(step=128))
     checks.append(starts.tolist() == [0, 128, 256, 384])
 
     matrix = to_block_matrix(Window(0, np.arange(1.0, 6017.0)), BLOCK)
@@ -145,8 +146,8 @@ def test_pipeline_unit_examples():
     checks.append(err <= 1e-9)
 
     m = metrics_from_counts(tp=8, fp=2, fn=2, tn=88)
-    checks.append((m.precision, m.recall) == (0.8, 0.8))
-    checks.append(abs(m.f_measure - 0.8) <= 1e-12 and m.accuracy == 0.96)
+    checks.append((m["precision"], m["recall"]) == (0.8, 0.8))
+    checks.append(abs(m["f_measure"] - 0.8) <= 1e-12 and m["accuracy"] == 0.96)
 
     step_spec = SyntheticSpec(duration_s=10.0, noise_std_a=0.01,
                               events=((5.0, 1.0),), seed=0)
@@ -200,14 +201,14 @@ def test_synthetic_end_to_end_detection_quality():
     metrics = metrics_from_counts(match.tp, match.fp, match.fn)
     detected, truths = np.array(match.pairs, dtype=np.int64).reshape(-1, 2).T
     worst_offset = float(np.max(np.abs(events.time_s[detected] - truth_s[truths]), initial=0.0))
-    ok = (metrics.recall >= 0.95 and metrics.precision >= 0.90
+    ok = (metrics["recall"] >= 0.95 and metrics["precision"] >= 0.90
           and worst_offset <= TOL_S and elapsed < 10.0)
     _report("synthetic end-to-end", ok,
             f"tp={match.tp} fp={match.fp} fn={match.fn} "
-            f"precision={metrics.precision:.3f} recall={metrics.recall:.3f} "
+            f"precision={metrics['precision']:.3f} recall={metrics['recall']:.3f} "
             f"worst_offset={worst_offset:.3f}s wall={elapsed:.2f}s")
-    assert metrics.recall >= 0.95
-    assert metrics.precision >= 0.90
+    assert metrics["recall"] >= 0.95
+    assert metrics["precision"] >= 0.90
     assert worst_offset <= TOL_S
     assert elapsed < 10.0
 
@@ -273,15 +274,15 @@ def test_two_phase_high_rate_layout_run(tmp_path, two_phase_csv):
             totals[key] += payload[key]
 
     metrics = metrics_from_counts(**totals)
-    ok = (metrics.precision >= 0.97 and metrics.recall >= 0.96
-          and metrics.f_measure >= 0.97)
+    ok = (metrics["precision"] >= 0.97 and metrics["recall"] >= 0.96
+          and metrics["f_measure"] >= 0.97)
     _report("two-phase 12 kHz layout run", ok,
             f"tp={totals['tp']} fp={totals['fp']} fn={totals['fn']} "
-            f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
-            f"f_measure={metrics.f_measure:.4f}")
-    assert metrics.precision >= 0.97
-    assert metrics.recall >= 0.96
-    assert metrics.f_measure >= 0.97
+            f"precision={metrics['precision']:.4f} recall={metrics['recall']:.4f} "
+            f"f_measure={metrics['f_measure']:.4f}")
+    assert metrics["precision"] >= 0.97
+    assert metrics["recall"] >= 0.96
+    assert metrics["f_measure"] >= 0.97
 
 
 # sha256 of the event and verdict rows after the config header, recorded

@@ -518,10 +518,21 @@ def test_eval_config_echo_filled_from_the_events_header_is_pinned(tmp_path, monk
                      "--decimate", "2", "--out", "events.jsonl"]) == 0
     capsys.readouterr()
     assert cli.main(["eval", "--input", "events.jsonl", "--truth", "wave.truth.csv"]) == 0
-    # window, rate and decimate from the header; block and the rest are eval's defaults
-    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 128, "0.5",
+    # the detector settings, rate and decimate from the header; the rest are eval's own
+    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 64, "0.5",
                     '"wave.truth.csv"', "null", "null")
     assert capsys.readouterr().out.endswith(', "config": %s}\n' % echo[len('{"config": '):-1])
+
+
+@pytest.mark.parametrize("flag", [("--step", "0"), ("--block", "3"), ("--std-window", "48")])
+def test_eval_bad_detector_flag_exits_2(tmp_path, capsys, flag):
+    wave, truth = _synth(tmp_path)
+    events = _detect(wave, tmp_path / "events.jsonl")
+    capsys.readouterr()
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config header" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key", ["rate", "window", "decimate"])

@@ -24,7 +24,7 @@ from fencedetect.detector import (
 )
 from fencedetect.signal_io import SampleStream, SyntheticSpec, generate_synthetic
 from fencedetect.spectral import spectrogram
-from fencedetect.windowing import Window, WindowingConfig, to_block_matrix, windows
+from fencedetect.windowing import Window, to_block_matrix, windows
 
 
 def _spectrogram_like(rows=47, cols=65, fill=0.0):
@@ -282,7 +282,7 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(std_window=1)
     with pytest.raises(ValueError):
-        DetectorConfig(std_window=48, windowing=WindowingConfig())
+        DetectorConfig(std_window=48)
 
 
 @dataclass(frozen=True)
@@ -306,10 +306,10 @@ def _reference_detect(stream, cfg):
 
     Events are ``(sample_index, time_s, window_start)`` tuples.
     """
-    block_len = cfg.windowing.block_len
-    window_len = cfg.windowing.window_len
+    block_len = cfg.block_len
+    window_len = cfg.window_len
     verdicts = []
-    for start in windows(stream, cfg.windowing).tolist():
+    for start in windows(stream, cfg).tolist():
         window = Window(start, stream.samples[start:start + window_len])
         spec = spectrogram(to_block_matrix(window, block_len))
         selected, gap, gaps = select_bin(spec)
@@ -341,9 +341,9 @@ def _stepped_runs(draw):
         st.integers(window + 1, 3 * window),                  # gaps between windows
     ))
     cfg = DetectorConfig(
+        window_len=window, step=step, block_len=block,
         k=draw(st.sampled_from([0.0, 0.5, 1.5])),
         std_window=draw(st.integers(2, min(blocks, 6))),
-        windowing=WindowingConfig(window_len=window, step=step, block_len=block),
     )
     n = draw(st.integers(0, 12 * window))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -1,3 +1,4 @@
+import json
 from bisect import bisect_left
 
 import numpy as np
@@ -5,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fencedetect.evaluation import (
-    compute_metrics,
-    count_tn,
-    match_events,
-    metrics_from_counts,
-    metrics_payload,
-)
+from fencedetect import cli
+from fencedetect.evaluation import count_tn, match_events, metrics_from_counts
 
 
 def test_match_within_tolerance():
@@ -37,6 +33,15 @@ def test_match_rejects_unsorted():
         match_events([2.0, 1.0], [], 0.5)
     with pytest.raises(ValueError):
         match_events([], [2.0, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("detected, truth, side", [
+    ([float("nan"), 1.0], [0.5, 1.0], "detections"),
+    ([0.5, 1.0], [1.0, float("nan")], "ground truth"),
+])
+def test_match_rejects_nan_times_naming_the_side(detected, truth, side):
+    with pytest.raises(ValueError, match=f"NaN time in {side}"):
+        match_events(detected, truth, 0.1)
 
 
 def test_match_rejects_negative_tolerance():
@@ -83,20 +88,20 @@ def test_match_tolerance_monotonicity():
 
 def test_metrics_worked_example():
     m = metrics_from_counts(tp=8, fp=2, fn=2, tn=88)
-    assert (m.precision, m.recall) == (0.8, 0.8)
-    assert m.f_measure == pytest.approx(0.8, rel=1e-12)
-    assert m.accuracy == pytest.approx(0.96)
+    assert (m["precision"], m["recall"]) == (0.8, 0.8)
+    assert m["f_measure"] == pytest.approx(0.8, rel=1e-12)
+    assert m["accuracy"] == pytest.approx(0.96)
 
 
 def test_metrics_zero_denominators():
     m = metrics_from_counts(tp=0, fp=0, fn=0, tn=10)
-    assert (m.precision, m.recall, m.f_measure) == (0.0, 0.0, 0.0)
-    assert m.accuracy == 1.0
+    assert (m["precision"], m["recall"], m["f_measure"]) == (0.0, 0.0, 0.0)
+    assert m["accuracy"] == 1.0
 
 
 def test_metrics_perfect_detection():
     m = metrics_from_counts(tp=40, fp=0, fn=0)
-    assert (m.precision, m.recall, m.f_measure) == (1.0, 1.0, 1.0)
+    assert (m["precision"], m["recall"], m["f_measure"]) == (1.0, 1.0, 1.0)
 
 
 def test_metrics_bounded_and_precision_monotone():
@@ -104,10 +109,10 @@ def test_metrics_bounded_and_precision_monotone():
     for _ in range(200):
         tp, fp, fn, tn = (int(v) for v in rng.integers(0, 30, 4))
         m = metrics_from_counts(tp, fp, fn, tn)
-        for value in (m.precision, m.recall, m.f_measure, m.accuracy):
+        for value in (m["precision"], m["recall"], m["f_measure"], m["accuracy"]):
             assert 0.0 <= value <= 1.0
         worse = metrics_from_counts(tp, fp + 1, fn, tn)
-        assert worse.precision <= m.precision
+        assert worse["precision"] <= m["precision"]
 
 
 def test_metrics_rejects_negative_counts():
@@ -115,32 +120,43 @@ def test_metrics_rejects_negative_counts():
         metrics_from_counts(-1, 0, 0, 0)
 
 
-def test_compute_metrics_reads_match_result():
+def test_metrics_from_counts_reads_match_result():
     match = match_events([1.0, 50.0], [1.2], 1.0)
-    m = compute_metrics(match, tn=7)
+    m = metrics_from_counts(match.tp, match.fp, match.fn, tn=7)
     assert (match.tp, match.fp, match.fn) == (1, 1, 0)
-    assert m.precision == 0.5 and m.recall == 1.0 and m.tn == 7
+    assert m["precision"] == 0.5 and m["recall"] == 1.0 and m["tn"] == 7
+
+
+_GEOMETRY = {"window_len": 6016, "sample_rate_hz": 6000.0}
 
 
 def test_count_tn_no_truth():
-    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], 1.0) == 10
-    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], float("inf")) == 10
+    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], 1.0, **_GEOMETRY) == 10
+    assert count_tn(np.arange(10) * 6016, np.zeros(10, bool), [], float("inf"),
+                    **_GEOMETRY) == 10
 
 
 def test_count_tn_excludes_windows_near_truth():
     starts, flags = np.array([0]), np.array([False])
     # event at 0.5 s sits inside the window span
-    assert count_tn(starts, flags, [0.5], 1.0) == 0
+    assert count_tn(starts, flags, [0.5], 1.0, **_GEOMETRY) == 0
     # event well past the widened span does not block the count
-    assert count_tn(starts, flags, [10.0], 1.0) == 1
+    assert count_tn(starts, flags, [10.0], 1.0, **_GEOMETRY) == 1
 
 
 def test_count_tn_ignores_flagged_windows():
-    assert count_tn(np.array([0, 6016]), np.array([True, False]), [], 0.0) == 1
+    assert count_tn(np.array([0, 6016]), np.array([True, False]), [], 0.0, **_GEOMETRY) == 1
 
 
 def test_count_tn_empty():
-    assert count_tn(np.array([], np.int64), np.array([], bool), [1.0], 1.0) == 0
+    assert count_tn(np.array([], np.int64), np.array([], bool), [1.0], 1.0, **_GEOMETRY) == 0
+
+
+def test_count_tn_takes_the_geometry_by_keyword_only():
+    with pytest.raises(TypeError):
+        count_tn(np.array([0]), np.array([False]), [], 1.0)
+    with pytest.raises(TypeError):
+        count_tn(np.array([0]), np.array([False]), [], 1.0, 6016, 6000.0)
 
 
 def _count_tn_per_window(starts, flags, truth, tolerance_s, window_len, sample_rate_hz):
@@ -187,12 +203,16 @@ def test_count_tn_matches_per_window_bisect(data, starts, flags, truth, toleranc
                     sample_rate_hz=sample_rate_hz) == expected
 
 
-def test_metrics_payload_key_set():
-    match = match_events([1.0], [1.1], 1.0)
-    payload = metrics_payload(match, compute_metrics(match, tn=3))
-    assert list(payload) == [
-        "tp", "fp", "fn", "tn", "precision", "recall",
-        "f_measure", "accuracy", "tolerance_s",
-    ]
-    assert payload["tp"] == 1 and payload["tn"] == 3
+def test_metrics_and_eval_output_key_order(tmp_path, capsys):
+    m = metrics_from_counts(1, 0, 0, tn=3)
+    assert list(m) == ["tp", "fp", "fn", "tn", "precision", "recall", "f_measure", "accuracy"]
+    assert m["tp"] == 1 and m["tn"] == 3
+    # eval prints the scores, then the tolerance and its settings
+    events, truth = tmp_path / "events.jsonl", tmp_path / "truth.csv"
+    events.write_text('{"config": {}}\n{"sample_index": 6000, "time_s": 1.0, "window_start": 0}\n')
+    truth.write_text("1.1\n")
+    assert cli.main(["eval", "--input", str(events), "--truth", str(truth),
+                     "--tolerance", "1.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [*m, "tolerance_s", "config"]
     assert payload["tolerance_s"] == 1.0

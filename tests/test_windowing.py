@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fencedetect.detector import DetectorConfig
 from fencedetect.signal_io import SampleStream
-from fencedetect.windowing import Window, WindowingConfig, to_block_matrix, windows
+from fencedetect.windowing import Window, to_block_matrix, windows
 
 
 def _stream(n):
@@ -10,18 +11,18 @@ def _stream(n):
 
 
 def test_exact_division_two_windows():
-    out = windows(_stream(12032), WindowingConfig())
+    out = windows(_stream(12032), DetectorConfig())
     assert out.dtype == np.int64
     assert out.tolist() == [0, 6016]
 
 
 def test_below_minimum_yields_nothing():
-    out = windows(_stream(6015), WindowingConfig())
+    out = windows(_stream(6015), DetectorConfig())
     assert out.dtype == np.int64 and out.tolist() == []
 
 
 def test_small_step_window_count():
-    out = windows(_stream(6400), WindowingConfig(step=128))
+    out = windows(_stream(6400), DetectorConfig(step=128))
     assert out.tolist() == [0, 128, 256, 384]
 
 
@@ -30,14 +31,14 @@ def test_window_count_formula():
     for _ in range(30):
         n = int(rng.integers(0, 40000))
         step = int(rng.integers(1, 8000))
-        cfg = WindowingConfig(step=step)
+        cfg = DetectorConfig(step=step)
         expected = (n - 6016) // step + 1 if n >= 6016 else 0
         assert len(windows(_stream(n), cfg)) == expected
 
 
 def test_nonoverlapping_windows_partition_prefix():
     stream = _stream(6016 * 3 + 100)
-    out = windows(stream, WindowingConfig())
+    out = windows(stream, DetectorConfig())
     joined = np.concatenate([stream.samples[s:s + 6016] for s in out])
     assert np.array_equal(joined, stream.samples[: 6016 * 3])
 
@@ -71,7 +72,7 @@ def test_block_matrix_flatten_is_lossless():
 
 def test_windows_deterministic_order():
     stream = _stream(30000)
-    cfg = WindowingConfig(step=1504)
+    cfg = DetectorConfig(step=1504)
     first = windows(stream, cfg)
     second = windows(stream, cfg)
     assert first.tolist() == second.tolist()
@@ -81,22 +82,22 @@ def test_windows_deterministic_order():
 
 def test_config_rejects_indivisible_block():
     with pytest.raises(ValueError):
-        WindowingConfig(window_len=6016, block_len=100)
+        DetectorConfig(window_len=6016, block_len=100)
 
 
 def test_config_rejects_non_power_of_two_block():
     for block_len in (1, 3, 6, 94, 100):
         with pytest.raises(ValueError):
-            WindowingConfig(window_len=block_len * 64, step=block_len * 64,
-                            block_len=block_len)
+            DetectorConfig(window_len=block_len * 64, step=block_len * 64,
+                           block_len=block_len)
 
 
 def test_config_rejects_nonpositive_fields():
     with pytest.raises(ValueError):
-        WindowingConfig(step=0)
+        DetectorConfig(step=0)
     with pytest.raises(ValueError):
-        WindowingConfig(window_len=0, block_len=1)
+        DetectorConfig(window_len=0, block_len=1)
 
 
 def test_blocks_per_window():
-    assert WindowingConfig().blocks_per_window == 47
+    assert DetectorConfig().blocks_per_window == 47
