@@ -19,11 +19,12 @@ from .signal_io import (
     SampleStream,
     SyntheticSpec,
     decimate,
-    generate_synthetic,
+    generate_synthetic,  # unused here; bench/spans.py wraps this name and write_waveform
     read_ground_truth,
     read_multichannel_csv,
     read_waveform,
     write_ground_truth,
+    write_synthetic,
     write_waveform,
 )
 
@@ -196,6 +197,42 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# what a separating NaN decodes to in _decode_lines; any other constant raises
+_SEPARATOR = object()
+_SEPARATING_NAN = {"NaN": _SEPARATOR}.__getitem__
+
+
+def _decode_lines(lines: list[str]) -> list:
+    """Each line's JSON value, or ``None`` where a line is not one JSON value.
+
+    JSON has no NaN or Infinity and no float beyond the double range, so
+    those are refused as not JSON. The lines are parsed at once, as one
+    array with a ``NaN`` between each two. When no line holds the text
+    ``NaN`` and every other element of the array is a separator, every
+    separator was parsed at the top level, so each line held exactly one
+    value: the value a parse of that line alone gives. Otherwise each line
+    is parsed on its own.
+    """
+    text = "[" + ",NaN,".join(lines) + "]"
+    decode = json.JSONDecoder(parse_float=_finite_float, parse_constant=_SEPARATING_NAN).decode
+    try:
+        values = decode(text)
+    except (KeyError, ValueError):  # KeyError: Infinity or -Infinity
+        values = None
+    separators = max(0, len(lines) - 1)
+    if (values is not None and len(values) == len(lines) + separators
+            and values[1::2].count(_SEPARATOR) == text.count("NaN") == separators):
+        return values[::2]
+    decode = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float).decode
+    values = []
+    for line in lines:
+        try:
+            values.append(decode(line))
+        except ValueError:  # not JSON
+            values.append(None)
+    return values
+
+
 def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]:
     """The ``{"config": ...}`` header of a detect output file and its rows as columns.
 
@@ -203,25 +240,21 @@ def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]
     line must be a JSON object whose ``keys`` hold their JSON types, else
     ``ValueError`` (exit 1) names the file and line.
     """
-    # JSON has no NaN or Infinity and no float beyond the double range
-    decode = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float).decode
     pick = itemgetter(*keys)
     # every combination of the keys' types, so one set lookup checks a row
     allowed = set(product(*(_JSON_TYPES[kind] for kind in keys.values())))
+    lines = Path(path).read_text().splitlines()
     header, rows = {}, []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = None
+    for i, row in enumerate(_decode_lines(list(filter(str.strip, lines)))):
         try:
-            row = decode(line)
             values = pick(row)  # KeyError: a key is missing; TypeError: not an object
             if tuple(map(type, values)) in allowed:
                 rows.append(values)
                 continue
-        except (KeyError, TypeError, ValueError):  # ValueError: not JSON
+        except (KeyError, TypeError):
             pass
         if not (isinstance(row, dict) and isinstance(row.get("config"), dict)):
+            lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
             expected = ", ".join(f"{key!r}: {kind}" for key, kind in keys.items())
             raise ValueError(f"{path}:{lineno}: expected an object with {expected}")
         header = row["config"]
@@ -297,8 +330,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    stream, truth = generate_synthetic(spec)
-    write_waveform(stream, rc.out, "raw-f64le")
+    truth = write_synthetic(spec, rc.out)
     write_ground_truth(truth, rc.truth)
     # raw and plain-csv outputs take no header; provenance goes to stdout
     print(json.dumps({"config": {

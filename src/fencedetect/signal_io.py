@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
 import warnings
+from collections import deque
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,7 @@ _RAW_DTYPES = {
 
 FORMATS = ("csv", "raw-f32le", "raw-f64le")
 
-# samples per generator pass; bounds every temporary generate_synthetic holds
+# samples per generator pass; bounds every temporary the synthetic renderer holds
 SYNTH_CHUNK = 16384
 
 
@@ -347,24 +353,30 @@ def _envelope(t: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
     return np.ones(len(t))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTruthEvent]]:
-    """Render a spec into a stream plus its ground-truth event list.
+def _workers() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
-    The signal is ``base_amplitude * sin(2*pi*mains_hz*t)`` with each event
-    adding its amplitude delta from its onset onward, optional harmonic
-    content per event, optional triangle amplitude drift, and seeded
-    Gaussian noise. The same spec (seed included) always produces
-    bit-identical output.
 
-    The output is filled ``SYNTH_CHUNK`` samples at a time, so every
-    temporary stays chunk-sized and peak memory is about the output itself.
+def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
+    """Yield the rendered stream in ``SYNTH_CHUNK``-sample chunks, in stream order.
+
     Each sample sees the same float operations in the same order as a
     whole-array rendering: ``(level * envelope) * sin``, then each harmonic
     event in spec order, then the noise, drawn in sequence from one
-    generator, so the bytes do not depend on the chunk length.
+    generator. The noise-free part of a chunk runs on pool threads, one per
+    further CPU and at most ``2 * helpers`` chunks ahead; the calling thread
+    draws each chunk's noise in stream order and adds it. The bytes
+    therefore depend on neither the thread count nor the chunk length. A
+    single chunk, or a single CPU, starts no thread. Closing the generator
+    early cancels the chunks not yet started and joins the threads.
     """
     rate = spec.sample_rate_hz
     n = spec.n_samples
+    chunk = SYNTH_CHUNK
     omega = 2.0 * np.pi * spec.mains_hz
 
     # piecewise constant between onsets; each segment adds its deltas in spec order
@@ -381,12 +393,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
          [(2.0 * np.pi * order * spec.mains_hz, frac) for order, frac in harmonics])
         for time_s, delta, harmonics in spec.events if harmonics
     ]
-    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
 
-    signal = np.empty(n)
-    for a in range(0, n, SYNTH_CHUNK):
-        b = min(a + SYNTH_CHUNK, n)
-        out = signal[a:b]
+    def tone(a: int) -> np.ndarray:
+        # the noise-free samples [a, b)
+        b = min(a + chunk, n)
         t = np.arange(a, b) / rate
         envelope = _envelope(t, spec)
 
@@ -394,27 +404,109 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
         first = int(np.searchsorted(edges, a, side="right")) - 1
         last = int(np.searchsorted(edges, b, side="left"))
         lengths = np.minimum(ends[first:last], b) - np.maximum(edges[first:last], a)
-        np.multiply(np.repeat(values[first:last], lengths), envelope, out=out)
-        tone = np.multiply(t, omega)
-        out *= np.sin(tone, out=tone)
+        out = np.repeat(values[first:last], lengths)
+        out *= envelope
+        phase = np.multiply(t, omega)
+        out *= np.sin(phase, out=phase)
 
         for start, delta, tones in harmonic_events:
             if start < b:
                 s = max(start, a) - a
                 for w, frac in tones:
                     out[s:] += envelope[s:] * frac * delta * np.sin(w * t[s:])
+        return out
 
+    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
+
+    def noisy(out: np.ndarray) -> np.ndarray:
         if rng is not None:
-            noise = rng.standard_normal(b - a)
+            noise = rng.standard_normal(len(out))
             noise *= spec.noise_std_a
             out += noise
+        return out
 
-    truth = sorted(
+    starts = range(0, n, chunk)
+    helpers = min(_workers(), len(starts)) - 1
+    if helpers < 1:
+        for a in starts:
+            yield noisy(tone(a))
+        return
+
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
+    pending = iter(starts)
+    with ThreadPoolExecutor(helpers) as pool:  # joins the helpers on exit
+        ahead = deque(pool.submit(tone, a) for a in islice(pending, 2 * helpers))
+        try:
+            while ahead:
+                out = ahead.popleft().result()
+                a = next(pending, None)
+                if a is not None:
+                    ahead.append(pool.submit(tone, a))
+                yield noisy(out)
+        finally:
+            for future in ahead:
+                future.cancel()
+
+
+def _truth(spec: SyntheticSpec) -> list[GroundTruthEvent]:
+    return sorted(
         (GroundTruthEvent(time_s, "on" if delta > 0 else "off")
          for time_s, delta, _ in spec.events),
         key=lambda ev: ev.time_s,
     )
-    return SampleStream(signal, rate), truth
+
+
+def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTruthEvent]]:
+    """Render a spec into a stream plus its ground-truth event list.
+
+    The signal is ``base_amplitude * sin(2*pi*mains_hz*t)`` with each event
+    adding its amplitude delta from its onset onward, optional harmonic
+    content per event, optional triangle amplitude drift, and seeded
+    Gaussian noise. The same spec (seed included) always produces
+    bit-identical output, the same bytes ``write_synthetic`` writes.
+
+    The output array is filled one ``SYNTH_CHUNK``-sample chunk at a time,
+    so every temporary stays chunk-sized and peak memory is about the
+    output itself.
+    """
+    signal = np.empty(spec.n_samples)
+    a = 0
+    with closing(_render_synthetic(spec)) as chunks:
+        for out in chunks:
+            signal[a:a + len(out)] = out
+            a += len(out)
+    return SampleStream(signal, spec.sample_rate_hz), _truth(spec)
+
+
+def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEvent]:
+    """Render a spec straight to a raw-f64le file and return its ground-truth events.
+
+    The file gets the bytes of ``generate_synthetic``'s samples, written one
+    ``SYNTH_CHUNK``-sample chunk at a time, so memory stays chunk-bounded
+    whatever the duration. An output larger than the free space of its
+    directory raises ``OSError`` before anything is written. The chunks go
+    to a temporary file beside ``path`` that replaces ``path`` only after
+    the last chunk; on any error it is removed, so ``path`` never holds a
+    truncated stream.
+    """
+    path = Path(path)
+    needed = spec.n_samples * _RAW_DTYPES["raw-f64le"].itemsize
+    free = shutil.disk_usage(path.parent).free
+    if needed > free:
+        raise OSError(f"{path}: the waveform needs {needed} bytes, "
+                      f"but its directory has {free} free")
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    fh = open(part, "xb")
+    try:
+        with fh, closing(_render_synthetic(spec)) as chunks:
+            for out in chunks:
+                fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return _truth(spec)
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:

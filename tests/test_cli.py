@@ -4,7 +4,7 @@ import math
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fencedetect import cli, detector
@@ -330,13 +330,46 @@ def test_bled_layout_defaults_to_12khz_decimated(tmp_path):
 
 
 def test_memory_error_exits_1_without_traceback(tmp_path, capsys):
-    # 6e15 samples: numpy refuses the output array at once
-    rc = cli.main(["synth", "--duration", "1e12", "--out", str(tmp_path / "w.f64"),
+    # 6e15 samples, 4.8e16 bytes: no disk has the room, so nothing is written
+    wave = tmp_path / "w.f64"
+    rc = cli.main(["synth", "--duration", "1e12", "--out", str(wave),
                    "--truth", str(tmp_path / "t.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {wave}: the waveform needs 48000000000000000 bytes")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_failure_leaves_no_waveform_and_no_thread(tmp_path, capsys, monkeypatch):
+    from fencedetect import signal_io
+
+    monkeypatch.setattr(signal_io, "SYNTH_CHUNK", 4096)
+    monkeypatch.setattr(signal_io, "_workers", lambda: 3)
+    render = signal_io._render_synthetic
+
+    def failing(spec):
+        for i, chunk in enumerate(render(spec)):
+            if i == 2:
+                raise MemoryError("cannot allocate the third chunk")
+            yield chunk
+
+    monkeypatch.setattr(signal_io, "_render_synthetic", failing)
+    wave, truth = tmp_path / "wave.f64", tmp_path / "truth.csv"
+    before = threading.active_count()
+    rc = cli.main(["synth", "--duration", "10", "--noise-std", "0.01",
+                   "--out", str(wave), "--truth", str(truth)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot allocate the third chunk\n"
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == before
+    # an earlier output stays as it was
+    wave.write_bytes(b"earlier")
+    assert cli.main(["synth", "--duration", "10", "--out", str(wave),
+                     "--truth", str(truth)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
+    assert wave.read_bytes() == b"earlier"
 
 
 def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -473,6 +506,50 @@ def test_eval_malformed_row_exits_1_naming_its_line(tmp_path, capsys, sidecar, r
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[sidecar]}:3: ") and len(err.splitlines()) == 1
+
+
+def _decode_each(lines):
+    """The per-line oracle: each line parsed alone, None where it is not JSON or not finite."""
+    def finite(text):
+        if not math.isfinite(float(text)):
+            raise ValueError(text)
+        return float(text)
+
+    decoder = json.JSONDecoder(parse_float=finite, parse_constant=finite)
+    values = []
+    for line in lines:
+        try:
+            values.append(decoder.decode(line))
+        except ValueError:
+            values.append(None)
+    return values
+
+
+# a row split over two lines, inside an array or inside a string, and lines
+# holding two values, which can make up the count of the lines it spans
+_SPLIT_IN_ARRAY = ['{"sample_index": 1, "time_s": 0.5, "window_start": 0, "x": [[1', "1]]}"]
+_SPLIT_IN_STRING = ['{"sample_index": 1, "time_s": 0.5, "window_start": 0, "x": "a', 'b"}']
+_TWO_ROWS = _GOOD_ROWS["events"] + ", " + _GOOD_ROWS["events"]
+_ROW_NAN_TWO = _GOOD_ROWS["events"] + ", NaN, 2"
+_LINE_PIECES = [
+    _GOOD_ROWS["events"], _GOOD_ROWS["verdicts"], '{"config": {"k": 0.5}}', "{}", "[]",
+    *_SPLIT_IN_ARRAY, "0]]}", *_SPLIT_IN_STRING, _TWO_ROWS, _ROW_NAN_TWO,
+    "NaN", "-Infinity", "1e400", "1, 2", '"x"', " 7 ", "\xa07", '{"a": NaN}', ",", "[1,",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@example(lines=[_TWO_ROWS])
+@example(lines=[*_SPLIT_IN_ARRAY, _TWO_ROWS, _TWO_ROWS])
+@example(lines=[*_SPLIT_IN_STRING, _TWO_ROWS, _TWO_ROWS])
+@example(lines=[*_SPLIT_IN_STRING, _ROW_NAN_TWO])
+@given(lines=st.lists(st.one_of(
+    st.sampled_from(_LINE_PIECES),
+    st.text(alphabet='{}[]",:01aeNInfity -.\\', min_size=1, max_size=12),
+), max_size=8))
+def test_lines_decoded_at_once_equal_each_line_decoded_alone(lines):
+    lines = [line for line in lines if line.strip() and len(line.splitlines()) == 1]
+    assert cli._decode_lines(lines) == _decode_each(lines)
 
 
 # the exact {"config": ...} line: key order, value types and bytes are part of the output

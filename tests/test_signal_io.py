@@ -1,4 +1,6 @@
 import locale
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fencedetect.signal_io import (
     read_multichannel_csv,
     read_waveform,
     write_ground_truth,
+    write_synthetic,
     write_waveform,
 )
 
@@ -597,18 +600,80 @@ def _synthetic_specs(draw, max_samples):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, signal_io.SYNTH_CHUNK])
-def test_chunked_generator_matches_whole_array_reference(monkeypatch, chunk):
+def test_chunked_generator_matches_whole_array_reference(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(signal_io, "SYNTH_CHUNK", chunk)
+    path = tmp_path / "wave.f64"
 
     # streams up to three chunks long, so every chunk boundary case shows
     @settings(max_examples=40, deadline=None)
     @given(spec=_synthetic_specs(max_samples=3 * chunk + 100))
     def check(spec):
-        stream, _ = generate_synthetic(spec)
-        assert len(stream) == spec.n_samples
-        assert stream.samples.tobytes() == _reference_synthetic(spec).tobytes()
+        expected = _reference_synthetic(spec).tobytes()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+            stream, truth = generate_synthetic(spec)
+            assert len(stream) == spec.n_samples
+            assert stream.samples.tobytes() == expected
+            assert write_synthetic(spec, path) == truth
+            assert path.read_bytes() == expected
 
     check()
+    assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
+
+
+def _spec_of_chunks(chunks):
+    return SyntheticSpec(duration_s=chunks * signal_io.SYNTH_CHUNK / 6000.0, noise_std_a=0.01,
+                         drift_depth=0.05, events=((0.5, 0.8, ((3, 0.2),)),), seed=5)
+
+
+@pytest.mark.parametrize("workers, chunks", [(1, 8), (3, 1)])
+def test_renderer_starts_no_thread_on_one_cpu_or_for_one_chunk(monkeypatch, workers, chunks):
+    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+    before = threading.active_count()
+    counts = [threading.active_count() for _ in signal_io._render_synthetic(
+        _spec_of_chunks(chunks))]
+    assert len(counts) == chunks and set(counts) == {before}
+
+
+def test_renderer_closed_early_joins_its_threads(monkeypatch):
+    monkeypatch.setattr(signal_io, "_workers", lambda: 3)
+    before = threading.active_count()
+    chunks = signal_io._render_synthetic(_spec_of_chunks(20))
+    next(chunks)
+    assert before < threading.active_count() <= before + 2  # the caller draws the noise
+    chunks.close()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streamed_synth_memory_is_chunk_bounded(tmp_path, monkeypatch, workers):
+    """A 600 s stream is a 28.8 MB file; rendering it holds a few chunks at a time."""
+    from fencedetect import cli
+
+    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+    wave = tmp_path / "wave.f64"
+    argv = ["synth", "--duration", "600", "--noise-std", "0.01", "--drift-depth", "0.05",
+            "--event", "120.5:0.8:3x0.2", "--event", "300.25:-0.8",
+            "--out", str(wave), "--truth", str(tmp_path / "truth.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wave.stat().st_size == 28_800_000
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_write_synthetic_refuses_an_output_larger_than_the_free_space(tmp_path, monkeypatch):
+    spec = SyntheticSpec(duration_s=1.0)  # 6000 samples, 48000 bytes
+    usage = signal_io.shutil.disk_usage(tmp_path)._replace(free=47999)
+    monkeypatch.setattr(signal_io.shutil, "disk_usage", lambda where: usage)
+    path = tmp_path / "wave.f64"
+    with pytest.raises(OSError) as raised:
+        write_synthetic(spec, path)
+    assert str(raised.value).startswith(f"{path}: the waveform needs 48000 bytes")
+    assert list(tmp_path.iterdir()) == []
 
 
 @example([-0.0, 0.0, 5e-324, 0.5, 1.0, 2.0**52 - 0.5, 2.0**53 + 2.0, 1e300])
