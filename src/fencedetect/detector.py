@@ -18,6 +18,7 @@ thread count, so at most ``CHUNK_WINDOWS`` windows are in flight at once.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .signal_io import SampleStream, _workers
+from .signal_io import SampleStream
 from .spectral import spectrogram
 from .windowing import Window, to_block_matrix, windows
 
@@ -160,6 +161,14 @@ def classify_window(sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray
     flagged = outside.any(axis=-1)
     # [()] makes the one-window 0-d result a scalar, as the other stages give
     return flagged, np.where(flagged, np.argmax(outside, axis=-1), -1)[()]
+
+
+def _workers() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> None:

@@ -12,11 +12,8 @@ import math
 import os
 import shutil
 import warnings
-from collections import deque
 from collections.abc import Iterator
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -353,30 +350,16 @@ def _envelope(t: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
     return np.ones(len(t))
 
 
-def _workers() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
     """Yield the rendered stream in ``SYNTH_CHUNK``-sample chunks, in stream order.
 
     Each sample sees the same float operations in the same order as a
     whole-array rendering: ``(level * envelope) * sin``, then each harmonic
     event in spec order, then the noise, drawn in sequence from one
-    generator. The noise-free part of a chunk runs on pool threads, one per
-    further CPU and at most ``2 * helpers`` chunks ahead; the calling thread
-    draws each chunk's noise in stream order and adds it. The bytes
-    therefore depend on neither the thread count nor the chunk length. A
-    single chunk, or a single CPU, starts no thread. Closing the generator
-    early cancels the chunks not yet started and joins the threads.
+    generator. The bytes therefore do not depend on the chunk length.
     """
     rate = spec.sample_rate_hz
     n = spec.n_samples
-    chunk = SYNTH_CHUNK
     omega = 2.0 * np.pi * spec.mains_hz
 
     # piecewise constant between onsets; each segment adds its deltas in spec order
@@ -393,10 +376,10 @@ def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
          [(2.0 * np.pi * order * spec.mains_hz, frac) for order, frac in harmonics])
         for time_s, delta, harmonics in spec.events if harmonics
     ]
+    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
 
-    def tone(a: int) -> np.ndarray:
-        # the noise-free samples [a, b)
-        b = min(a + chunk, n)
+    for a in range(0, n, SYNTH_CHUNK):
+        b = min(a + SYNTH_CHUNK, n)
         t = np.arange(a, b) / rate
         envelope = _envelope(t, spec)
 
@@ -406,47 +389,20 @@ def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
         lengths = np.minimum(ends[first:last], b) - np.maximum(edges[first:last], a)
         out = np.repeat(values[first:last], lengths)
         out *= envelope
-        phase = np.multiply(t, omega)
-        out *= np.sin(phase, out=phase)
+        tone = np.multiply(t, omega)
+        out *= np.sin(tone, out=tone)
 
         for start, delta, tones in harmonic_events:
             if start < b:
                 s = max(start, a) - a
                 for w, frac in tones:
                     out[s:] += envelope[s:] * frac * delta * np.sin(w * t[s:])
-        return out
 
-    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
-
-    def noisy(out: np.ndarray) -> np.ndarray:
         if rng is not None:
-            noise = rng.standard_normal(len(out))
+            noise = rng.standard_normal(b - a)
             noise *= spec.noise_std_a
             out += noise
-        return out
-
-    starts = range(0, n, chunk)
-    helpers = min(_workers(), len(starts)) - 1
-    if helpers < 1:
-        for a in starts:
-            yield noisy(tone(a))
-        return
-
-    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
-
-    pending = iter(starts)
-    with ThreadPoolExecutor(helpers) as pool:  # joins the helpers on exit
-        ahead = deque(pool.submit(tone, a) for a in islice(pending, 2 * helpers))
-        try:
-            while ahead:
-                out = ahead.popleft().result()
-                a = next(pending, None)
-                if a is not None:
-                    ahead.append(pool.submit(tone, a))
-                yield noisy(out)
-        finally:
-            for future in ahead:
-                future.cancel()
+        yield out
 
 
 def _truth(spec: SyntheticSpec) -> list[GroundTruthEvent]:
@@ -472,11 +428,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     """
     signal = np.empty(spec.n_samples)
     a = 0
-    with closing(_render_synthetic(spec)) as chunks:
-        for out in chunks:
-            signal[a:a + len(out)] = out
-            a += len(out)
+    for out in _render_synthetic(spec):
+        signal[a:a + len(out)] = out
+        a += len(out)
     return SampleStream(signal, spec.sample_rate_hz), _truth(spec)
+
+
+def _write_chunks(spec: SyntheticSpec, fh) -> None:
+    for out in _render_synthetic(spec):
+        fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
 
 
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEvent]:
@@ -484,25 +444,32 @@ def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEv
 
     The file gets the bytes of ``generate_synthetic``'s samples, written one
     ``SYNTH_CHUNK``-sample chunk at a time, so memory stays chunk-bounded
-    whatever the duration. An output larger than the free space of its
-    directory raises ``OSError`` before anything is written. The chunks go
-    to a temporary file beside ``path`` that replaces ``path`` only after
-    the last chunk; on any error it is removed, so ``path`` never holds a
-    truncated stream.
+    whatever the duration. A ``path`` that is, or links to, an existing file
+    that is not a regular file (a device such as ``/dev/null``, or a FIFO)
+    is written through, chunk by chunk. Otherwise an output larger than the
+    free space of its directory raises ``OSError`` before anything is
+    written, and the chunks go to a temporary file beside the file ``path``
+    names (the target of a symlink, not the link) that replaces it only
+    after the last chunk; on any error it is removed, so ``path`` never
+    holds a truncated stream.
     """
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            _write_chunks(spec, fh)
+        return _truth(spec)
+    target = Path(os.path.realpath(path))
     needed = spec.n_samples * _RAW_DTYPES["raw-f64le"].itemsize
-    free = shutil.disk_usage(path.parent).free
+    free = shutil.disk_usage(target.parent).free
     if needed > free:
         raise OSError(f"{path}: the waveform needs {needed} bytes, "
                       f"but its directory has {free} free")
-    part = path.with_name(f".{path.name}.{os.getpid()}.part")
-    fh = open(part, "xb")
+    part = target.with_name(f".{target.name}.{os.getpid()}.part")
+    fh = open(part, "xb")  # opened before the try: an existing name is not ours to remove
     try:
-        with fh, closing(_render_synthetic(spec)) as chunks:
-            for out in chunks:
-                fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
-        os.replace(part, path)
+        with fh:
+            _write_chunks(spec, fh)
+        os.replace(part, target)
     except BaseException:
         part.unlink(missing_ok=True)
         raise

@@ -342,11 +342,10 @@ def test_memory_error_exits_1_without_traceback(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_synth_failure_leaves_no_waveform_and_no_thread(tmp_path, capsys, monkeypatch):
+def test_synth_failure_leaves_no_waveform(tmp_path, capsys, monkeypatch):
     from fencedetect import signal_io
 
     monkeypatch.setattr(signal_io, "SYNTH_CHUNK", 4096)
-    monkeypatch.setattr(signal_io, "_workers", lambda: 3)
     render = signal_io._render_synthetic
 
     def failing(spec):
@@ -357,13 +356,11 @@ def test_synth_failure_leaves_no_waveform_and_no_thread(tmp_path, capsys, monkey
 
     monkeypatch.setattr(signal_io, "_render_synthetic", failing)
     wave, truth = tmp_path / "wave.f64", tmp_path / "truth.csv"
-    before = threading.active_count()
     rc = cli.main(["synth", "--duration", "10", "--noise-std", "0.01",
                    "--out", str(wave), "--truth", str(truth)])
     assert rc == 1
     assert capsys.readouterr().err == "error: cannot allocate the third chunk\n"
     assert list(tmp_path.iterdir()) == []
-    assert threading.active_count() == before
     # an earlier output stays as it was
     wave.write_bytes(b"earlier")
     assert cli.main(["synth", "--duration", "10", "--out", str(wave),

@@ -1,4 +1,6 @@
 import locale
+import os
+import stat
 import threading
 import tracemalloc
 
@@ -609,48 +611,20 @@ def test_chunked_generator_matches_whole_array_reference(tmp_path, monkeypatch, 
     @given(spec=_synthetic_specs(max_samples=3 * chunk + 100))
     def check(spec):
         expected = _reference_synthetic(spec).tobytes()
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(signal_io, "_workers", lambda: workers)
-            stream, truth = generate_synthetic(spec)
-            assert len(stream) == spec.n_samples
-            assert stream.samples.tobytes() == expected
-            assert write_synthetic(spec, path) == truth
-            assert path.read_bytes() == expected
+        stream, truth = generate_synthetic(spec)
+        assert len(stream) == spec.n_samples
+        assert stream.samples.tobytes() == expected
+        assert write_synthetic(spec, path) == truth
+        assert path.read_bytes() == expected
 
     check()
     assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
 
 
-def _spec_of_chunks(chunks):
-    return SyntheticSpec(duration_s=chunks * signal_io.SYNTH_CHUNK / 6000.0, noise_std_a=0.01,
-                         drift_depth=0.05, events=((0.5, 0.8, ((3, 0.2),)),), seed=5)
-
-
-@pytest.mark.parametrize("workers, chunks", [(1, 8), (3, 1)])
-def test_renderer_starts_no_thread_on_one_cpu_or_for_one_chunk(monkeypatch, workers, chunks):
-    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
-    before = threading.active_count()
-    counts = [threading.active_count() for _ in signal_io._render_synthetic(
-        _spec_of_chunks(chunks))]
-    assert len(counts) == chunks and set(counts) == {before}
-
-
-def test_renderer_closed_early_joins_its_threads(monkeypatch):
-    monkeypatch.setattr(signal_io, "_workers", lambda: 3)
-    before = threading.active_count()
-    chunks = signal_io._render_synthetic(_spec_of_chunks(20))
-    next(chunks)
-    assert before < threading.active_count() <= before + 2  # the caller draws the noise
-    chunks.close()
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_streamed_synth_memory_is_chunk_bounded(tmp_path, monkeypatch, workers):
+def test_streamed_synth_memory_is_chunk_bounded(tmp_path):
     """A 600 s stream is a 28.8 MB file; rendering it holds a few chunks at a time."""
     from fencedetect import cli
 
-    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
     wave = tmp_path / "wave.f64"
     argv = ["synth", "--duration", "600", "--noise-std", "0.01", "--drift-depth", "0.05",
             "--event", "120.5:0.8:3x0.2", "--event", "300.25:-0.8",
@@ -674,6 +648,36 @@ def test_write_synthetic_refuses_an_output_larger_than_the_free_space(tmp_path, 
         write_synthetic(spec, path)
     assert str(raised.value).startswith(f"{path}: the waveform needs 48000 bytes")
     assert list(tmp_path.iterdir()) == []
+
+
+_SMALL_SPEC = SyntheticSpec(duration_s=3.0, noise_std_a=0.01, events=((1.5, 0.8, ()),), seed=3)
+
+
+def test_write_synthetic_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "data" / "wave.f64", tmp_path / "wave.f64"
+    target.parent.mkdir()
+    target.write_bytes(b"earlier")
+    link.symlink_to(target)
+    write_synthetic(_SMALL_SPEC, link)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == generate_synthetic(_SMALL_SPEC)[0].samples.tobytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "wave.f64", "wave.f64"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_write_synthetic_writes_through_a_fifo(tmp_path):
+    fifo = tmp_path / "wave.f64"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write_synthetic(_SMALL_SPEC, fifo)
+    finally:
+        reader.join(timeout=10)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [generate_synthetic(_SMALL_SPEC)[0].samples.tobytes()]
+    assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
 
 
 @example([-0.0, 0.0, 5e-324, 0.5, 1.0, 2.0**52 - 0.5, 2.0**53 + 2.0, 1e300])
