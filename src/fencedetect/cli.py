@@ -8,7 +8,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -238,22 +237,42 @@ def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]
 
     A line holding a ``"config"`` object is the header; every other non-blank
     line must be a JSON object whose ``keys`` hold their JSON types, else
-    ``ValueError`` (exit 1) names the file and line.
+    ``ValueError`` (exit 1) names the file and line. The types are checked
+    column by column; only a file that fails that check is walked row by
+    row, to name its first bad line.
     """
     pick = itemgetter(*keys)
-    # every combination of the keys' types, so one set lookup checks a row
-    allowed = set(product(*(_JSON_TYPES[kind] for kind in keys.values())))
+    allowed = [set(_JSON_TYPES[kind]) for kind in keys.values()]
     lines = Path(path).read_text().splitlines()
+    decoded = _decode_lines(list(filter(str.strip, lines)))
+
+    def is_header(row) -> bool:
+        return isinstance(row, dict) and isinstance(row.get("config"), dict)
+
     header, rows = {}, []
-    for i, row in enumerate(_decode_lines(list(filter(str.strip, lines)))):
+    for row in decoded:
         try:
-            values = pick(row)  # KeyError: a key is missing; TypeError: not an object
-            if tuple(map(type, values)) in allowed:
+            rows.append(pick(row))  # KeyError: a key is missing; TypeError: not an object
+        except (KeyError, TypeError):
+            if not is_header(row):
+                break
+            header = row["config"]
+    else:
+        columns = list(zip(*rows)) or [()] * len(keys)
+        if all(set(map(type, column)) <= ok for column, ok in zip(columns, allowed)):
+            return header, dict(zip(keys, columns))
+
+    # row by row, to name the first bad line; a "config" row with mistyped keys is a header
+    header, rows = {}, []
+    for i, row in enumerate(decoded):
+        try:
+            values = pick(row)
+            if all(type(value) in ok for value, ok in zip(values, allowed)):
                 rows.append(values)
                 continue
         except (KeyError, TypeError):
             pass
-        if not (isinstance(row, dict) and isinstance(row.get("config"), dict)):
+        if not is_header(row):
             lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
             expected = ", ".join(f"{key!r}: {kind}" for key, kind in keys.items())
             raise ValueError(f"{path}:{lineno}: expected an object with {expected}")

@@ -12,8 +12,11 @@ import math
 import os
 import shutil
 import warnings
+from collections import deque
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,8 @@ FORMATS = ("csv", "raw-f32le", "raw-f64le")
 
 # samples per generator pass; bounds every temporary the synthetic renderer holds
 SYNTH_CHUNK = 16384
+# lines per np.loadtxt call in a CSV file that holds a row np.loadtxt rejects
+CSV_BLOCK_LINES = 16384
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class SampleStream:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError("sample_rate_hz must be finite and positive")
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.float64)
         )
@@ -147,28 +152,43 @@ def _csv_field(line: str, column: int | None) -> str:
     return parts[column].strip() if column < len(parts) else ""
 
 
+def _finite(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The finite entries of ``values`` and the count of the others."""
+    finite = np.isfinite(values)
+    dropped = values.size - int(np.count_nonzero(finite))
+    return (values[finite] if dropped else values), dropped
+
+
+def _parse_rows(lines: list[str], column: int | None) -> tuple[np.ndarray, int]:
+    """Apply the per-line rules to lines that follow the header.
+
+    Blank lines are skipped; a line counts as dropped when its field is
+    missing, fails ``float()`` or parses to NaN/Inf. Returns the finite
+    values and the dropped count.
+    """
+    kept = []
+    bad = 0
+    for line in lines:
+        if line.strip():
+            try:
+                kept.append(float(_csv_field(line, column)))
+            except ValueError:
+                bad += 1
+    values, dropped = _finite(np.array(kept, dtype=np.float64))
+    return values, bad + dropped
+
+
 def _parse_csv_lines(text: str, column: int | None) -> tuple[np.ndarray, int]:
     """The tolerant per-line parser: the one definition of what a CSV load drops.
 
-    Blank lines are skipped; a first non-blank row whose selected field is
-    not numeric is a header. Every other row counts as dropped when its
-    field is missing, fails ``float()`` or parses to NaN/Inf. Returns the
-    finite values and the dropped count.
+    A first non-blank row whose selected field is not numeric is a header;
+    every other line follows ``_parse_rows``.
     """
-    text = text.removeprefix("\ufeff")  # one UTF-8 byte-order mark, as Excel writes
-    fields = [_csv_field(line, column) for line in text.splitlines() if line.strip()]
-    if fields and not _looks_numeric(fields[0]):
-        fields = fields[1:]  # single header row
-    kept = []
-    bad = 0
-    for field_text in fields:
-        try:
-            kept.append(float(field_text))
-        except ValueError:
-            bad += 1
-    values = np.array(kept, dtype=np.float64)
-    finite = np.isfinite(values)
-    return values[finite], bad + int((~finite).sum())
+    lines = text.removeprefix("\ufeff").splitlines()  # one UTF-8 byte-order mark, as Excel writes
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if first < len(lines) and not _looks_numeric(_csv_field(lines[first], column)):
+        first += 1  # single header row
+    return _parse_rows(lines[first:], column)
 
 
 # str.splitlines also breaks lines at these bytes; np.loadtxt does not
@@ -194,41 +214,55 @@ def _loadtxt_safe(path: Path) -> bool:
     return True
 
 
+def _loadtxt_column(lines, column: int | None, skip: int = 0) -> np.ndarray | None:
+    """One column of a file or a list of lines by np.loadtxt; ``None`` if it rejects them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows after the header
+            values = np.loadtxt(
+                lines, delimiter=",", usecols=column, comments=None,
+                dtype=np.float64, ndmin=2, skiprows=skip, encoding="utf-8-sig",
+            )
+    except ValueError:
+        return None
+    return values[:, 0] if values.shape[1] == 1 else None  # more: a comma in a whole-line file
+
+
 def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     """Parse one comma-separated column (``None``: the whole line) of a file.
 
     Clean files go through numpy's C loader. ``np.loadtxt`` accepts only
     text that ``float()`` accepts, with the same rounding, so whenever it
     reads every row its values and drop count equal those of
-    ``_parse_csv_lines``. Any file it rejects (an unparseable field, a
-    missing column, a whitespace-only line, a ``#`` line, ``1_000``) is
-    parsed by ``_parse_csv_lines`` instead.
+    ``_parse_csv_lines``. When it rejects a row (an unparseable field, a
+    missing column, a whitespace-only line, a ``#`` line, ``1_000``), the
+    file is read again in blocks of ``CSV_BLOCK_LINES`` lines, and only a
+    block it rejects goes through the per-line rules. Text it would not see
+    as ``str.splitlines`` does is parsed by ``_parse_csv_lines`` instead.
     """
-    if _loadtxt_safe(path):
-        skip = 0  # leading blank lines, and the header row if there is one
-        with open(path, encoding="utf-8-sig") as fh:
-            for line in fh:
-                if line.strip():
-                    if not _looks_numeric(_csv_field(line, column)):
-                        skip += 1
-                    break
-                skip += 1
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows after the header
-                values = np.loadtxt(
-                    path, delimiter=",", usecols=column, comments=None,
-                    dtype=np.float64, ndmin=2, skiprows=skip, encoding="utf-8-sig",
-                )
-        except ValueError:
-            pass
-        else:
-            if values.shape[1] == 1:  # more columns: a comma in a whole-line file
-                values = values[:, 0]
-                finite = np.isfinite(values)
-                dropped = values.size - int(np.count_nonzero(finite))
-                return (values[finite] if dropped else values), dropped
-    return _parse_csv_lines(path.read_text(), column)
+    if not _loadtxt_safe(path):
+        return _parse_csv_lines(path.read_text(), column)
+    skip = 0  # leading blank lines, and the header row if there is one
+    with open(path, encoding="utf-8-sig") as fh:
+        for line in fh:
+            if line.strip():
+                if not _looks_numeric(_csv_field(line, column)):
+                    skip += 1
+                break
+            skip += 1
+    values = _loadtxt_column(path, column, skip)
+    if values is not None:
+        return _finite(values)
+    # a rejected row: only the blocks that hold one go through the per-line rules
+    parts, dropped = [], 0
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = islice(fh, skip, None)
+        for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
+            values = _loadtxt_column(block, column)
+            kept, bad = _parse_rows(block, column) if values is None else _finite(values)
+            parts.append(kept)
+            dropped += bad
+    return np.concatenate(parts) if parts else np.empty(0), dropped
 
 
 def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
@@ -356,8 +390,14 @@ def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
     Each sample sees the same float operations in the same order as a
     whole-array rendering: ``(level * envelope) * sin``, then each harmonic
     event in spec order, then the noise, drawn in sequence from one
-    generator. The bytes therefore do not depend on the chunk length.
+    generator. The noise-free part of each chunk is rendered on one helper
+    thread, at most two chunks ahead; the calling thread draws each chunk's
+    noise in stream order and adds it. The bytes therefore depend on neither
+    the thread count nor the chunk length. Closing the generator cancels the
+    chunks not yet started and joins the helper.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
     rate = spec.sample_rate_hz
     n = spec.n_samples
     omega = 2.0 * np.pi * spec.mains_hz
@@ -376,10 +416,9 @@ def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
          [(2.0 * np.pi * order * spec.mains_hz, frac) for order, frac in harmonics])
         for time_s, delta, harmonics in spec.events if harmonics
     ]
-    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
 
-    for a in range(0, n, SYNTH_CHUNK):
-        b = min(a + SYNTH_CHUNK, n)
+    def tone(a: int, b: int) -> np.ndarray:
+        # the noise-free samples [a, b); reads nothing but the spec
         t = np.arange(a, b) / rate
         envelope = _envelope(t, spec)
 
@@ -389,20 +428,31 @@ def _render_synthetic(spec: SyntheticSpec) -> Iterator[np.ndarray]:
         lengths = np.minimum(ends[first:last], b) - np.maximum(edges[first:last], a)
         out = np.repeat(values[first:last], lengths)
         out *= envelope
-        tone = np.multiply(t, omega)
-        out *= np.sin(tone, out=tone)
+        phase = np.multiply(t, omega)
+        out *= np.sin(phase, out=phase)
 
         for start, delta, tones in harmonic_events:
             if start < b:
                 s = max(start, a) - a
                 for w, frac in tones:
                     out[s:] += envelope[s:] * frac * delta * np.sin(w * t[s:])
+        return out
 
-        if rng is not None:
-            noise = rng.standard_normal(b - a)
-            noise *= spec.noise_std_a
-            out += noise
-        yield out
+    rng = np.random.default_rng(spec.seed) if spec.noise_std_a > 0 else None
+    chunks = ((a, min(a + SYNTH_CHUNK, n)) for a in range(0, n, SYNTH_CHUNK))
+    pool = ThreadPoolExecutor(1)
+    try:
+        ahead = deque(pool.submit(tone, a, b) for a, b in islice(chunks, 2))
+        while ahead:
+            out = ahead.popleft().result()
+            ahead.extend(pool.submit(tone, a, b) for a, b in islice(chunks, 1))
+            if rng is not None:
+                noise = rng.standard_normal(len(out))
+                noise *= spec.noise_std_a
+                out += noise
+            yield out
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the helper
 
 
 def _truth(spec: SyntheticSpec) -> list[GroundTruthEvent]:
@@ -428,15 +478,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     """
     signal = np.empty(spec.n_samples)
     a = 0
-    for out in _render_synthetic(spec):
-        signal[a:a + len(out)] = out
-        a += len(out)
+    with closing(_render_synthetic(spec)) as chunks:
+        for out in chunks:
+            signal[a:a + len(out)] = out
+            a += len(out)
     return SampleStream(signal, spec.sample_rate_hz), _truth(spec)
 
 
 def _write_chunks(spec: SyntheticSpec, fh) -> None:
-    for out in _render_synthetic(spec):
-        fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
+    # closing: a failed write joins the helper before the caller removes the file
+    with closing(_render_synthetic(spec)) as chunks:
+        for out in chunks:
+            fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
 
 
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEvent]:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import operator
+import re
 import threading
 
 import pytest
@@ -346,22 +348,37 @@ def test_synth_failure_leaves_no_waveform(tmp_path, capsys, monkeypatch):
     from fencedetect import signal_io
 
     monkeypatch.setattr(signal_io, "SYNTH_CHUNK", 4096)
-    render = signal_io._render_synthetic
+    render, envelope = signal_io._render_synthetic, signal_io._envelope
 
-    def failing(spec):
+    def failing_render(spec):  # the caller fails on the third chunk
         for i, chunk in enumerate(render(spec)):
             if i == 2:
                 raise MemoryError("cannot allocate the third chunk")
             yield chunk
 
-    monkeypatch.setattr(signal_io, "_render_synthetic", failing)
+    calls = itertools.count()
+
+    def failing_envelope(t, spec):  # the helper thread fails on the third chunk
+        if next(calls) == 2:
+            raise MemoryError("cannot allocate the third envelope")
+        return envelope(t, spec)
+
     wave, truth = tmp_path / "wave.f64", tmp_path / "truth.csv"
-    rc = cli.main(["synth", "--duration", "10", "--noise-std", "0.01",
-                   "--out", str(wave), "--truth", str(truth)])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: cannot allocate the third chunk\n"
-    assert list(tmp_path.iterdir()) == []
+    threads = set(threading.enumerate())
+    for name, failing, message in [
+        ("_render_synthetic", failing_render, "cannot allocate the third chunk"),
+        ("_envelope", failing_envelope, "cannot allocate the third envelope"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(signal_io, name, failing)
+            rc = cli.main(["synth", "--duration", "10", "--noise-std", "0.01",
+                           "--out", str(wave), "--truth", str(truth)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert set(threading.enumerate()) <= threads
     # an earlier output stays as it was
+    monkeypatch.setattr(signal_io, "_render_synthetic", failing_render)
     wave.write_bytes(b"earlier")
     assert cli.main(["synth", "--duration", "10", "--out", str(wave),
                      "--truth", str(truth)]) == 1
@@ -547,6 +564,51 @@ _LINE_PIECES = [
 def test_lines_decoded_at_once_equal_each_line_decoded_alone(lines):
     lines = [line for line in lines if line.strip() and len(line.splitlines()) == 1]
     assert cli._decode_lines(lines) == _decode_each(lines)
+
+
+def _read_rows_row_by_row(path, keys):
+    """The per-row oracle: each row's types checked alone, as one set lookup."""
+    pick = operator.itemgetter(*keys)
+    allowed = set(itertools.product(*(cli._JSON_TYPES[kind] for kind in keys.values())))
+    lines = path.read_text().splitlines()
+    header, rows = {}, []
+    for i, row in enumerate(_decode_each([line for line in lines if line.strip()])):
+        try:
+            values = pick(row)
+            if tuple(map(type, values)) in allowed:
+                rows.append(values)
+                continue
+        except (KeyError, TypeError):
+            pass
+        if not (isinstance(row, dict) and isinstance(row.get("config"), dict)):
+            return [n for n, line in enumerate(lines, start=1) if line.strip()][i]
+        header = row["config"]
+    return header, dict(zip(keys, zip(*rows))) if rows else dict.fromkeys(keys, ())
+
+
+_VERDICT_LINES = [
+    _GOOD_ROWS["verdicts"], '{"config": {"k": 0.5}}', "",
+    '{"window_start": 6016, "is_event": true, "first_outlier_block": 3}',
+    '{"window_start": 0, "is_event": 1, "first_outlier_block": null}',
+    '{"window_start": 0.0, "is_event": false, "first_outlier_block": null}',
+    '{"window_start": 0, "is_event": false, "first_outlier_block": null, "config": {"k": 2}}',
+    '{"window_start": 0, "is_event": false, "first_outlier_block": 1.5, "config": {}}',
+    '{"window_start": 0}', "[]", "7", '{"config": 1}',
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.sampled_from(_VERDICT_LINES), max_size=8))
+def test_read_rows_by_column_matches_the_row_by_row_check(tmp_path, lines):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    want = _read_rows_row_by_row(path, cli._VERDICT_KEYS)
+    if isinstance(want, int):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{want}: expected "):
+            cli._read_rows(str(path), cli._VERDICT_KEYS)
+    else:
+        assert cli._read_rows(str(path), cli._VERDICT_KEYS) == want
 
 
 # the exact {"config": ...} line: key order, value types and bytes are part of the output

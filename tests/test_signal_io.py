@@ -262,6 +262,52 @@ def test_csv_column_reader_matches_tolerant_parser(tmp_path, text):
             assert (report.kept, report.dropped) == (len(want), want_dropped)
 
 
+_CLEAN_ROWS = st.lists(
+    st.tuples(*[st.floats(-1e6, 1e6).map(lambda v: f"{v:.8g}")] * 3).map(",".join),
+    max_size=30,
+)
+_BAD_ROWS = st.sampled_from(
+    ["# end of export", "1,2", "abc", "1_000,2,3", " ", "nan,inf,-inf", "1,,3", "x,y,z,w"])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.booleans(), rows=_CLEAN_ROWS, data=st.data(),
+       block=st.sampled_from([1, 2, 5, 16384]))
+def test_bad_rows_anywhere_in_a_clean_csv_match_the_tolerant_parser(
+        tmp_path, monkeypatch, header, rows, data, block):
+    monkeypatch.setattr(signal_io, "CSV_BLOCK_LINES", block)
+    lines = (["t,ia,ib"] if header else []) + rows
+    for bad in data.draw(st.lists(_BAD_ROWS, min_size=1, max_size=4)):
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    for column in (None, 0, 1, 2):
+        values, dropped = signal_io._read_csv_column(path, column)
+        want, want_dropped = signal_io._parse_csv_lines(path.read_text(), column)
+        assert values.tobytes() == want.tobytes()
+        assert dropped == want_dropped
+
+
+def test_one_bad_row_sends_only_its_block_to_the_per_line_rules(tmp_path, monkeypatch):
+    monkeypatch.setattr(signal_io, "CSV_BLOCK_LINES", 100)
+    seen = []
+    parse_rows = signal_io._parse_rows
+
+    def counting(lines, column):
+        seen.append(len(lines))
+        return parse_rows(lines, column)
+
+    monkeypatch.setattr(signal_io, "_parse_rows", counting)
+    path = tmp_path / "export.csv"
+    path.write_text("t,ia\n" + "".join(f"{i},{i / 4}\n" for i in range(1000))
+                    + "# end of export\n")
+    stream, report = read_multichannel_csv(path, 1, 12000.0)
+    assert stream.samples.tolist() == [i / 4 for i in range(1000)]
+    assert (report.kept, report.dropped) == (1000, 1)
+    assert seen == [1]  # the last block holds the comment line alone
+
+
 def test_decimate_basic():
     stream = SampleStream(np.array([1.0, 2.0, 3.0, 4.0]), 12000.0)
     out = decimate(stream, 2)
@@ -524,8 +570,9 @@ def test_raw_loader_matches_fromfile_with_a_finite_mask(tmp_path, fmt_dtype, dat
 
 
 def test_stream_requires_positive_rate():
-    with pytest.raises(ValueError):
-        SampleStream(np.arange(4.0), 0.0)
+    for rate in (0.0, -6000.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SampleStream(np.arange(4.0), rate)
 
 
 @settings(max_examples=80, deadline=None)
@@ -619,6 +666,16 @@ def test_chunked_generator_matches_whole_array_reference(tmp_path, monkeypatch, 
 
     check()
     assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
+
+
+def test_closing_the_renderer_early_joins_its_helper(monkeypatch):
+    monkeypatch.setattr(signal_io, "SYNTH_CHUNK", 4096)
+    before = set(threading.enumerate())
+    chunks = signal_io._render_synthetic(SyntheticSpec(duration_s=10.0, noise_std_a=0.01))
+    assert len(next(chunks)) == 4096
+    assert set(threading.enumerate()) > before  # the helper is running
+    chunks.close()
+    assert set(threading.enumerate()) <= before
 
 
 def test_streamed_synth_memory_is_chunk_bounded(tmp_path):
