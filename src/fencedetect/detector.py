@@ -13,6 +13,9 @@ one field per column. Chunks run on one thread per CPU the process may use,
 the caller included, with no setting; each writes only its own rows, so the
 bytes are the same for any thread count. The chunk size shrinks with the
 thread count, so at most ``CHUNK_WINDOWS`` windows are in flight at once.
+Once a chunk is done, the samples no later chunk reads are released
+(``signal_io.release``), so a file-mapped stream keeps about the chunks in
+flight resident, not the whole file.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .signal_io import SampleStream
+from .signal_io import SampleStream, release
 from .spectral import spectrogram
 from .windowing import Window, to_block_matrix, windows
 
@@ -232,8 +235,11 @@ def detect(
     rows, and the run merge waits for all of them, so the output does not
     depend on the thread count. A chunk holds ``CHUNK_WINDOWS // threads``
     windows (at least one), so at most ``CHUNK_WINDOWS`` windows' blocks and
-    spectra are held at once. After a failure no thread takes a further
-    chunk, and the error is raised once every thread has stopped.
+    spectra are held at once. A chunk then releases its samples up to the
+    next chunk's first window, so the resident pages of a file-mapped stream
+    stay about those of the chunks in flight. After a failure no thread
+    takes a further chunk, and the error is raised once every thread has
+    stopped.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
 
@@ -263,6 +269,9 @@ def detect(
             except BaseException:
                 failed.set()
                 raise
+            # the samples no later chunk reads
+            stop = starts[i0 + per_task] if i0 + per_task < len(starts) else len(stream)
+            release(stream.samples[starts[i0]:stop])
 
     # one thread per CPU and at most one per chunk; the caller is one of them
     helpers = min(workers, len(chunks)) - 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import shutil
 import warnings
@@ -32,6 +33,8 @@ FORMATS = ("csv", "raw-f32le", "raw-f64le")
 SYNTH_CHUNK = 16384
 # lines per np.loadtxt call in a CSV file that holds a row np.loadtxt rejects
 CSV_BLOCK_LINES = 16384
+# samples per pass over a raw file or a stream; bounds the mapped pages a pass keeps
+RAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -265,22 +268,67 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     return np.concatenate(parts) if parts else np.empty(0), dropped
 
 
+def release(view: np.ndarray) -> None:
+    """Drop the resident pages of a contiguous view of a read-only file mapping.
+
+    The whole pages inside the view leave the process
+    (``madvise(MADV_DONTNEED)``); a later read faults them back in from the
+    page cache with the same bytes, so the view's values never change. Only
+    its memory does: a pass over a mapped file that releases each chunk
+    after it holds a chunk's pages, not the file's. A no-op for in-memory
+    arrays, views of a writable mapping, non-contiguous views, views
+    smaller than a page, and platforms without ``MADV_DONTNEED``.
+    """
+    base = view  # np.memmap keeps its mapping as _mmap; find it along the .base chain
+    while isinstance(base, np.ndarray) and getattr(base, "_mmap", None) is None:
+        base = base.base
+    if (not isinstance(base, np.memmap) or base.mode != "r"
+            or not hasattr(mmap, "MADV_DONTNEED") or not view.flags.contiguous):
+        return
+    offset = view.ctypes.data - np.frombuffer(base._mmap, np.uint8).ctypes.data
+    first = -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE
+    stop = (offset + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if stop > first:
+        base._mmap.madvise(mmap.MADV_DONTNEED, first, stop - first)
+
+
+def _chunks(values: np.ndarray, length: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, values[start:start + length])`` for each chunk of ``values``, in order."""
+    return ((a, values[a:a + length]) for a in range(0, len(values), length))
+
+
 def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
     """Map a headerless raw file read-only; a trailing partial sample is ignored.
 
     A clean float64 file comes back as a read-only view of the mapping, not
-    a copy. Float32 converts once. Non-finite samples are counted on the
-    mapping and, when there are any, leave a compacted copy.
+    a copy. Float32 converts into one float64 array. Non-finite samples are
+    counted and, when there are any, leave a compacted copy. Every pass
+    walks the file in ``RAW_CHUNK``-sample chunks and releases each one, so
+    no pass keeps the file's pages resident.
     """
     count = path.stat().st_size // dtype.itemsize
     if count == 0:
         return np.empty(0), 0  # np.memmap refuses a zero-length map
-    mapped = np.memmap(path, dtype=dtype, mode="r", shape=(count,))
-    with np.errstate(invalid="ignore"):  # a float32 signalling NaN is dropped, not warned of
-        raw = np.asarray(mapped).astype(np.float64, copy=False)
-    finite = np.isfinite(raw)
-    dropped = count - int(np.count_nonzero(finite))
-    return (raw[finite] if dropped else raw), dropped
+    raw = np.asarray(np.memmap(path, dtype=dtype, mode="r", shape=(count,)))
+    if dtype != np.float64:
+        mapped, raw = raw, np.empty(count)
+        for a, chunk in _chunks(mapped, RAW_CHUNK):
+            with np.errstate(invalid="ignore"):  # a float32 signalling NaN is dropped, not warned of
+                raw[a:a + len(chunk)] = chunk
+            release(chunk)
+    dropped = 0
+    for _, chunk in _chunks(raw, RAW_CHUNK):
+        dropped += len(chunk) - int(np.count_nonzero(np.isfinite(chunk)))
+        release(chunk)
+    if not dropped:
+        return raw, 0
+    kept, n = np.empty(count - dropped), 0
+    for _, chunk in _chunks(raw, RAW_CHUNK):
+        finite = chunk[np.isfinite(chunk)]
+        kept[n:n + len(finite)] = finite
+        n += len(finite)
+        release(chunk)
+    return kept, dropped
 
 
 def read_waveform(
@@ -299,7 +347,8 @@ def read_waveform(
         The stream plus a report counting dropped (non-finite or
         unparseable) entries. Raw files are memory-mapped read-only; a
         clean ``raw-f64le`` file's samples are a read-only view of the
-        mapping, not a copy.
+        mapping, not a copy. The loader releases the pages it reads
+        (``release``), so they are resident only while in use.
 
     Raises:
         ValueError: unknown format or no valid samples.
@@ -351,14 +400,22 @@ def decimate(stream: SampleStream, factor: int) -> SampleStream:
     """Keep every factor-th sample, starting at index 0.
 
     Plain sample dropping, no anti-alias filtering; the output rate is the
-    input rate divided by the factor.
+    input rate divided by the factor. The input is walked in chunks whose
+    length is a multiple of the factor, and each is released after use, so
+    a file-mapped input costs the output plus one chunk.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError("decimation factor must be an integer >= 1")
     factor = int(factor)
     if factor == 1:
         return stream
-    return SampleStream(stream.samples[::factor].copy(), stream.sample_rate_hz / factor)
+    samples = stream.samples
+    out = np.empty(-(-len(samples) // factor))
+    for a, chunk in _chunks(samples, max(1, RAW_CHUNK // factor) * factor):
+        kept = chunk[::factor]
+        out[a // factor:a // factor + len(kept)] = kept
+        release(chunk)
+    return SampleStream(out, stream.sample_rate_hz / factor)
 
 
 def _triangle(t: np.ndarray, period_s: float) -> np.ndarray:

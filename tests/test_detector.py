@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fencedetect
 from fencedetect import detector
 from fencedetect.detector import (
     DetectorConfig,
@@ -22,7 +25,13 @@ from fencedetect.detector import (
     select_bin,
     tukey_fences,
 )
-from fencedetect.signal_io import SampleStream, SyntheticSpec, generate_synthetic
+from fencedetect.signal_io import (
+    SampleStream,
+    SyntheticSpec,
+    generate_synthetic,
+    read_waveform,
+    write_synthetic,
+)
 from fencedetect.spectral import spectrogram
 from fencedetect.windowing import Window, to_block_matrix, windows
 
@@ -459,3 +468,63 @@ def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, 
         detect(stream)
     assert threading.active_count() == before
     assert next(calls) < 8  # of 15 chunks: no thread took a chunk after the failure
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
+@pytest.mark.parametrize("step", [6016, 128, 1000])
+def test_file_mapped_stream_matches_its_in_memory_copy(tmp_path, monkeypatch, step, chunk,
+                                                       workers):
+    """Released chunks read back the same bytes, whichever chunk drops which pages."""
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
+    monkeypatch.setattr(detector, "_workers", lambda: workers)
+    path = tmp_path / "wave.f64"
+    write_synthetic(SyntheticSpec(duration_s=12.0, noise_std_a=0.01, seed=3,
+                                  events=((3.2, 0.8), (7.7, -0.5))), path)
+    mapped, _ = read_waveform(path, "raw-f64le", 6000.0)
+    assert isinstance(mapped.samples.base, np.memmap)
+    in_memory = SampleStream(np.array(mapped.samples), 6000.0)
+    cfg = DetectorConfig(step=step)
+    events, verdicts = detect(mapped, cfg)
+    want_events, want_verdicts = detect(in_memory, cfg)
+    assert len(events) > 0
+    assert events.tobytes() == want_events.tobytes()
+    assert verdicts.tobytes() == want_verdicts.tobytes()
+
+
+def _status_has(key: str) -> bool:
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith(key + ":") for line in fh)
+    except OSError:
+        return False
+
+
+# reads a raw-f64le stream, detects, prints the process's peak RSS in KiB
+_PEAK_OF_DETECT = """
+import sys
+from fencedetect.detector import detect
+from fencedetect.signal_io import read_waveform
+detect(read_waveform(sys.argv[1], "raw-f64le", 6000.0)[0])
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_detect_peak_memory_does_not_grow_with_a_mapped_streams_length(tmp_path):
+    """A 20 min stream peaks within 10 MB of a 5 min one, in fresh processes.
+
+    Both are longer than the ``CHUNK_WINDOWS`` windows in flight (256 windows,
+    4.3 min), so both hold a full set of chunks; the 20 min file is 57.6 MB.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(fencedetect.__file__)), os.environ.get("PYTHONPATH")]))}
+    peaks = []
+    for minutes in (5, 20):
+        path = tmp_path / f"wave{minutes}.f64"
+        write_synthetic(SyntheticSpec(duration_s=60.0 * minutes, noise_std_a=0.01,
+                                      events=((30.5, 0.8),)), path)
+        done = subprocess.run([sys.executable, "-c", _PEAK_OF_DETECT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        peaks.append(int(done.stdout))
+    assert peaks[1] - peaks[0] < 10 * 1024, f"peak KiB {peaks}"

@@ -1,4 +1,6 @@
+import itertools
 import locale
+import mmap
 import os
 import stat
 import threading
@@ -19,6 +21,7 @@ from fencedetect.signal_io import (
     read_ground_truth,
     read_multichannel_csv,
     read_waveform,
+    release,
     write_ground_truth,
     write_synthetic,
     write_waveform,
@@ -343,6 +346,121 @@ def test_decimate_length_and_composition():
             assert len(out) == -(-n // factor)  # ceil division
         twice = decimate(decimate(stream, 2), 3)
         assert np.array_equal(twice.samples, decimate(stream, 6).samples)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 6, signal_io.RAW_CHUNK])
+@pytest.mark.parametrize("n", [1, 29, 30, 31, 1000])
+def test_chunked_decimate_of_a_mapped_stream_matches_a_strided_copy(tmp_path, monkeypatch,
+                                                                     chunk, n):
+    monkeypatch.setattr(signal_io, "RAW_CHUNK", chunk)
+    path = tmp_path / "wave.f64"
+    np.random.default_rng(n).standard_normal(n).tofile(path)
+    stream, _ = read_waveform(path, "raw-f64le", 12000.0)
+    assert isinstance(stream.samples.base, np.memmap)
+    for factor in (1, 2, 3):
+        out = decimate(stream, factor)
+        assert out.samples.tobytes() == stream.samples[::factor].copy().tobytes()
+        assert out.sample_rate_hz == 12000.0 / factor
+
+
+def _status_kib(key: str) -> int | None:
+    """A ``kB`` line of /proc/self/status, or ``None`` where there is none."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _mapped_arange(path, n: int) -> np.ndarray:
+    """``0.0 .. n - 1`` written to ``path`` a slice at a time, loaded as a mapped view."""
+    with open(path, "wb") as fh:
+        for a in range(0, n, 1 << 20):
+            np.arange(a, min(a + (1 << 20), n), dtype="<f8").tofile(fh)
+    stream, _ = read_waveform(path, "raw-f64le", 6000.0)
+    assert isinstance(stream.samples.base, np.memmap)
+    return stream.samples
+
+
+def test_release_keeps_a_touched_views_values(tmp_path):
+    samples = _mapped_arange(tmp_path / "wave.f64", 3 * mmap.PAGESIZE)
+    expected = np.arange(len(samples), dtype=np.float64)
+    assert samples.tobytes() == expected.tobytes()  # every page touched
+    release(samples[100:2 * mmap.PAGESIZE + 7])
+    assert samples.tobytes() == expected.tobytes()
+    release(samples)
+    assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(_status_kib("VmRSS") is None, reason="no VmRSS in /proc/self/status")
+def test_release_returns_a_touched_views_pages(tmp_path):
+    size = 64 * 2**20
+    n = size // 8
+    samples = _mapped_arange(tmp_path / "wave.f64", n)
+    assert samples.sum() == n * (n - 1) / 2  # exact below 2**53; reads every page
+    before = _status_kib("VmRSS")
+    release(samples)
+    after = _status_kib("VmRSS")
+    assert before - after > 0.75 * size / 1024, (before, after)
+    assert samples.sum() == n * (n - 1) / 2
+
+
+def test_release_leaves_memory_it_does_not_own_alone(tmp_path, monkeypatch):
+    # anonymous memory would read back as zeros if its pages were dropped
+    values = np.arange(2**20, dtype=np.float64)
+    release(values)
+    release(values[:0])
+    assert values.tobytes() == np.arange(2**20, dtype=np.float64).tobytes()
+
+    samples = _mapped_arange(tmp_path / "wave.f64", 4 * mmap.PAGESIZE)
+    expected = samples.copy()
+    page = mmap.PAGESIZE // 8  # samples per page
+    for view in (samples[:0], samples[10:20], samples[page - 100:page + 100],
+                 samples[::2]):  # empty, sub-page, unaligned across a page boundary, strided
+        release(view)
+    assert samples.tobytes() == expected.tobytes()
+
+    # a copy-on-write mapping would lose its private writes
+    private = np.memmap(tmp_path / "wave.f64", dtype="<f8", mode="c")
+    private[:] = -1.0
+    release(private)
+    release(np.asarray(private)[page:])
+    assert np.all(private == -1.0)
+
+    monkeypatch.delattr(mmap, "MADV_DONTNEED")  # a platform without it
+    release(samples)
+    assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a signalling NaN is dropped without a warning
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("fmt, dtype", RAW_FORMATS)
+def test_chunked_raw_load_matches_the_whole_file(tmp_path, monkeypatch, chunk, fmt, dtype):
+    monkeypatch.setattr(signal_io, "RAW_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    values = rng.standard_normal(10_000).astype(dtype)
+    bits = values.view(f"<u{np.dtype(dtype).itemsize}")
+    specials = np.array([np.nan, np.inf, -np.inf], dtype=dtype).view(bits.dtype).tolist()
+    signalling = 0x7F800001 if dtype == "<f4" else 0x7FF0000000000001
+    for i, special in zip(rng.integers(0, len(values), 40),
+                          itertools.cycle([*specials, signalling])):
+        bits[i] = special
+    path = tmp_path / "wave.raw"
+    values.tofile(path)
+    with np.errstate(invalid="ignore"):
+        whole = np.fromfile(path, dtype=dtype).astype(np.float64)
+    expected = whole[np.isfinite(whole)]
+    stream, report = read_waveform(path, fmt, 6000.0)
+    assert stream.samples.tobytes() == expected.tobytes()
+    assert (report.kept, report.dropped) == (len(expected), len(values) - len(expected))
+    values[:] = 1.5  # and a clean file
+    values.tofile(path)
+    stream, report = read_waveform(path, fmt, 6000.0)
+    assert stream.samples.tobytes() == np.full(len(values), 1.5).tobytes()
+    assert report.dropped == 0
 
 
 def test_synthetic_ground_truth_matches_spec():
