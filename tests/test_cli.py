@@ -393,10 +393,10 @@ def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monk
     calls = itertools.count()
     spectrogram = detector.spectrogram
 
-    def failing(blocks):
+    def failing(blocks, **kwargs):
         if next(calls) >= 2:  # a later chunk
             raise MemoryError("cannot allocate the spectra")
-        return spectrogram(blocks)
+        return spectrogram(blocks, **kwargs)
 
     monkeypatch.setattr(detector, "spectrogram", failing)
     events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"

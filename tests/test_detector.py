@@ -364,9 +364,14 @@ def _stepped_runs(draw):
     return SampleStream(samples, 6000.0), cfg
 
 
+# windows per FFT sub-batch: one, a few, the default and more than any chunk holds
+FFT_BATCHES = (1, 3, detector.FFT_WINDOWS, detector.CHUNK_WINDOWS + 1)
+
+
 @pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
 def test_columns_match_per_window_reference(monkeypatch, chunk):
-    """Each example runs on 1, 2 and 3 worker threads against the one reference."""
+    """Each example runs on 1, 2 and 3 worker threads and each FFT sub-batch
+    size against the one reference."""
     monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
 
     @settings(max_examples=60, deadline=None)
@@ -376,15 +381,16 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
         expected_events, rows = _reference_detect(stream, cfg)
         names = [f.name for f in fields(_Row)]
         expected = {name: [getattr(v, name) for v in rows] for name in names}
-        for workers in (1, 2, 3):
+        for workers, batch in itertools.product((1, 2, 3), FFT_BATCHES):
             monkeypatch.setattr(detector, "_workers", lambda: workers)
+            monkeypatch.setattr(detector, "FFT_WINDOWS", batch)
             events, verdicts = detect(stream, cfg)
-            assert events.tolist() == expected_events, workers
+            assert events.tolist() == expected_events, (workers, batch)
             assert len(verdicts) == len(rows)
             for name, values in expected.items():
                 column = getattr(verdicts, name)
                 want = np.array(values, dtype=column.dtype).reshape(column.shape)
-                assert column.tobytes() == want.tobytes(), (name, workers)
+                assert column.tobytes() == want.tobytes(), (name, workers, batch)
             assert list(verdicts.dtype.names) == names
             # the rows the record iterates as are the reference's rows
             for got, want in zip(verdicts, rows):
@@ -423,10 +429,10 @@ def test_worker_failure_surfaces_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(detector, "_workers", lambda: 2)
     calls = itertools.count()
 
-    def failing(blocks):
+    def failing(blocks, **kwargs):
         if next(calls) >= 2:  # a later chunk
             raise MemoryError("cannot allocate the spectra")
-        return spectrogram(blocks)
+        return spectrogram(blocks, **kwargs)
 
     monkeypatch.setattr(detector, "spectrogram", failing)
     before = threading.active_count()
@@ -455,12 +461,12 @@ def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, 
     caller = threading.get_ident()
     calls = itertools.count()
 
-    def spectrogram_failing_on_one_thread(blocks):
+    def spectrogram_failing_on_one_thread(blocks, **kwargs):
         next(calls)
         if (threading.get_ident() == caller) == (failing == "caller"):
             raise MemoryError(f"no spectra on the {failing} thread")
         time.sleep(0.05)  # the failing thread has time to take a chunk
-        return spectrogram(blocks)
+        return spectrogram(blocks, **kwargs)
 
     monkeypatch.setattr(detector, "spectrogram", spectrogram_failing_on_one_thread)
     before = threading.active_count()
@@ -475,7 +481,8 @@ def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, 
 @pytest.mark.parametrize("step", [6016, 128, 1000])
 def test_file_mapped_stream_matches_its_in_memory_copy(tmp_path, monkeypatch, step, chunk,
                                                        workers):
-    """Released chunks read back the same bytes, whichever chunk drops which pages."""
+    """Released chunks and sub-batches read back the same bytes, whichever drops
+    which pages, for each FFT sub-batch size."""
     monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
     monkeypatch.setattr(detector, "_workers", lambda: workers)
     path = tmp_path / "wave.f64"
@@ -485,11 +492,13 @@ def test_file_mapped_stream_matches_its_in_memory_copy(tmp_path, monkeypatch, st
     assert isinstance(mapped.samples.base, np.memmap)
     in_memory = SampleStream(np.array(mapped.samples), 6000.0)
     cfg = DetectorConfig(step=step)
-    events, verdicts = detect(mapped, cfg)
     want_events, want_verdicts = detect(in_memory, cfg)
-    assert len(events) > 0
-    assert events.tobytes() == want_events.tobytes()
-    assert verdicts.tobytes() == want_verdicts.tobytes()
+    assert len(want_events) > 0
+    for batch in FFT_BATCHES:
+        monkeypatch.setattr(detector, "FFT_WINDOWS", batch)
+        events, verdicts = detect(mapped, cfg)
+        assert events.tobytes() == want_events.tobytes(), batch
+        assert verdicts.tobytes() == want_verdicts.tobytes(), batch
 
 
 def _status_has(key: str) -> bool:
@@ -500,31 +509,57 @@ def _status_has(key: str) -> bool:
         return False
 
 
-# reads a raw-f64le stream, detects, prints the process's peak RSS in KiB
+# imports what detect loads, then, given a raw-f64le path, detects on it; prints
+# the process's peak RSS in KiB
 _PEAK_OF_DETECT = """
-import sys
+import concurrent.futures, sys
 from fencedetect.detector import detect
 from fencedetect.signal_io import read_waveform
-detect(read_waveform(sys.argv[1], "raw-f64le", 6000.0)[0])
+if sys.argv[1:]:
+    detect(read_waveform(sys.argv[1], "raw-f64le", 6000.0)[0])
 print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
-@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
-def test_detect_peak_memory_does_not_grow_with_a_mapped_streams_length(tmp_path):
-    """A 20 min stream peaks within 10 MB of a 5 min one, in fresh processes.
-
-    Both are longer than the ``CHUNK_WINDOWS`` windows in flight (256 windows,
-    4.3 min), so both hold a full set of chunks; the 20 min file is 57.6 MB.
-    """
+def _peak_kib(*paths) -> int:
+    """VmHWM of a fresh process running ``_PEAK_OF_DETECT`` on ``paths`` (none or one)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         os.path.dirname(os.path.dirname(fencedetect.__file__)), os.environ.get("PYTHONPATH")]))}
-    peaks = []
+    done = subprocess.run([sys.executable, "-c", _PEAK_OF_DETECT, *map(str, paths)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return int(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def mapped_waves(tmp_path_factory):
+    """5 and 20 min raw-f64le streams by minutes; the 20 min file is 57.6 MB.
+
+    Both are longer than the ``CHUNK_WINDOWS`` windows in flight (256 windows,
+    4.3 min), so both hold a full set of chunks.
+    """
+    paths = {}
     for minutes in (5, 20):
-        path = tmp_path / f"wave{minutes}.f64"
+        paths[minutes] = tmp_path_factory.mktemp("waves") / f"wave{minutes}.f64"
         write_synthetic(SyntheticSpec(duration_s=60.0 * minutes, noise_std_a=0.01,
-                                      events=((30.5, 0.8),)), path)
-        done = subprocess.run([sys.executable, "-c", _PEAK_OF_DETECT, str(path)], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        peaks.append(int(done.stdout))
+                                      events=((30.5, 0.8),)), paths[minutes])
+    return paths
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_detect_peak_memory_does_not_grow_with_a_mapped_streams_length(mapped_waves):
+    """A 20 min stream peaks within 10 MB of a 5 min one, in fresh processes."""
+    peaks = [_peak_kib(mapped_waves[minutes]) for minutes in (5, 20)]
     assert peaks[1] - peaks[0] < 10 * 1024, f"peak KiB {peaks}"
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_detect_peaks_less_than_20_mib_above_its_imports(mapped_waves):
+    """What detect adds on a 20 min mapped stream is its working set, in fresh processes.
+
+    That is the chunks' magnitude buffers (256 windows, 6.3 MB over all
+    threads) plus, per thread, one ``FFT_WINDOWS`` sub-batch's samples and
+    complex spectra, and the verdicts; not the file, nor whole chunks of
+    samples and spectra.
+    """
+    imports, peak = _peak_kib(), _peak_kib(mapped_waves[20])
+    assert peak - imports < 20 * 1024, f"peak KiB {peak}, imports alone {imports}"
