@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
 
-from .detector import DetectorConfig, detect
+from .detector import CHUNK_WINDOWS, DetectorConfig, detect
 from .evaluation import count_tn, match_events, metrics_from_counts
 from .signal_io import (
     FORMATS,
@@ -22,6 +22,7 @@ from .signal_io import (
     read_ground_truth,
     read_multichannel_csv,
     read_waveform,
+    replaced_at_end,
     write_ground_truth,
     write_synthetic,
     write_waveform,
@@ -155,6 +156,17 @@ _EVENT_ROW = '{"sample_index": %d, "time_s": %r, "window_start": %d}\n'
 _VERDICT_ROW = '{"window_start": %d, "is_event": %s, "first_outlier_block": %s}\n'
 
 
+def _event_rows(events) -> str:
+    return "".join(_EVENT_ROW % row for row in events.tolist())
+
+
+def _verdict_rows(verdicts) -> str:
+    columns = zip(verdicts.window_start.tolist(), verdicts.is_event.tolist(),
+                  verdicts.first_outlier_block.tolist())
+    return "".join(_VERDICT_ROW % ((start, "true", first) if flag else (start, "false", "null"))
+                   for start, flag, first in columns)
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     # a two-current-channel export is 12 kHz, halved to 6 kHz, unless a setting says otherwise
     bled = {"rate": 12000.0, "decimate": 2} if args.bled_layout else {}
@@ -166,18 +178,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     events, verdicts = detect(stream, cfg)
 
-    header = json.dumps({"config": asdict(rc)})
-    text = header + "\n" + "".join(_EVENT_ROW % row for row in events.tolist())
-    (Path(rc.out).write_text if rc.out else sys.stdout.write)(text)
-
-    if args.verdicts:
-        columns = zip(verdicts.window_start.tolist(), verdicts.is_event.tolist(),
-                      verdicts.first_outlier_block.tolist())
-        rows = "".join(
-            _VERDICT_ROW % ((start, "true", first) if flag else (start, "false", "null"))
-            for start, flag, first in columns
-        )
-        Path(args.verdicts).write_text(header + "\n" + rows)
+    header = json.dumps({"config": asdict(rc)}) + "\n"
+    with replaced_at_end(rc.out or None, args.verdicts or None) as (out, sidecar):
+        for fh, rows, to_text in [(out or sys.stdout, events, _event_rows),
+                                  (sidecar, verdicts, _verdict_rows)]:
+            if fh is not None:  # the text of CHUNK_WINDOWS rows at a time, not the run's
+                fh.write(header)
+                for i in range(0, len(rows), CHUNK_WINDOWS):
+                    fh.write(to_text(rows[i:i + CHUNK_WINDOWS]))
     return 0
 
 
@@ -328,7 +336,10 @@ def _parse_event_flag(text: str) -> tuple:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    rc = RunConfig(**_given(args))
+    given = _given(args)
+    rc = RunConfig(**given)
+    if given.get("format", "raw-f64le") != "raw-f64le":
+        raise CliError(f"synth writes raw-f64le only, got format {rc.format!r}")
     if args.duration is None:
         raise CliError("synth needs --duration")
     if not rc.out:

@@ -202,7 +202,7 @@ def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> N
         spectrogram(blocks, out=spec[i:i + len(part)].reshape(-1, bins))
         if i + FFT_WINDOWS < len(starts):
             release(samples[part[0]:starts[i + FFT_WINDOWS]])
-    rows.selected_bin, rows.delta_p, rows.per_bin_delta = select_bin(spec)
+    rows.selected_bin, rows.delta_p, _ = select_bin(spec)
     sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
     rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)
     rows.is_event, rows.first_outlier_block = classify_window(sigma, rows.lo, rows.hi)
@@ -238,10 +238,11 @@ def detect(
     order, as two record arrays (``np.recarray``). The events have the
     fields ``sample_index``, ``time_s`` (the index over the sample rate) and
     ``window_start`` (of the first flagged window of the run). The verdicts
-    have one row per window and the fields ``window_start``, ``is_event``, ``first_outlier_block`` (-1 where
-    ``is_event`` is False), ``selected_bin``, ``delta_p``, ``per_bin_delta``
-    (one entry per frequency bin), ``q1``, ``q3``, ``lo`` and ``hi``. A stream
-    shorter than one window yields no events and no verdicts.
+    have one row per window, 65 bytes each, and the fields ``window_start``,
+    ``is_event``, ``first_outlier_block`` (-1 where ``is_event`` is False),
+    ``selected_bin``, ``delta_p``, ``q1``, ``q3``, ``lo`` and ``hi``; every
+    bin's gap is ``select_bin``'s to give, not a verdict's. A stream shorter
+    than one window yields no events and no verdicts.
 
     Windows are analysed in chunks on one thread per CPU this process may
     use: the calling thread and a pool thread for each further CPU take the
@@ -264,7 +265,6 @@ def detect(
     verdicts = _Rows(len(starts), dtype=[
         ("window_start", np.int64), ("is_event", bool), ("first_outlier_block", np.int64),
         ("selected_bin", np.int64), ("delta_p", np.float64),
-        ("per_bin_delta", np.float64, (cfg.block_len // 2 + 1,)),
         ("q1", np.float64), ("q3", np.float64), ("lo", np.float64), ("hi", np.float64),
     ])
     verdicts.window_start = starts

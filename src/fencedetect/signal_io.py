@@ -15,7 +15,7 @@ import shutil
 import warnings
 from collections import deque
 from collections.abc import Iterator
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -542,47 +542,62 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SampleStream, list[GroundTr
     return SampleStream(signal, spec.sample_rate_hz), _truth(spec)
 
 
-def _write_chunks(spec: SyntheticSpec, fh) -> None:
-    # closing: a failed write joins the helper before the caller removes the file
-    with closing(_render_synthetic(spec)) as chunks:
-        for out in chunks:
-            fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
+@contextmanager
+def replaced_at_end(*paths: str | Path | None, mode: str = "w") -> Iterator[list]:
+    """Open each path for writing (``None`` gives ``None``); none is replaced until all are done.
+
+    A path that is, or links to, an existing file that is not a regular
+    file (a device such as ``/dev/null``, or a FIFO) is written through.
+    Every other path is written to a temporary ``.part`` file beside the
+    file it names (the target of a symlink, not the link), and only once the
+    block ends without error does each ``.part`` file replace its target.
+    On any error they are all removed, so no path holds a partial file and
+    an earlier file stays as it was.
+    """
+    parts = []
+    try:
+        with ExitStack() as files:
+            handles = []
+            for path in paths:
+                if path is None or (os.path.exists(path) and not os.path.isfile(path)):
+                    handles.append(path and files.enter_context(open(path, mode)))
+                    continue
+                target = Path(os.path.realpath(path))
+                # numbered, so two paths naming one file replace it in turn
+                part = target.with_name(f".{target.name}.{os.getpid()}.{len(parts)}.part")
+                # "x": an existing name is not ours to remove, so it joins parts once opened
+                handles.append(files.enter_context(open(part, mode.replace("w", "x"))))
+                parts.append((part, target))
+            yield handles
+        for part, target in parts:
+            os.replace(part, target)
+    except BaseException:
+        for part, _ in parts:
+            part.unlink(missing_ok=True)
+        raise
 
 
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEvent]:
     """Render a spec straight to a raw-f64le file and return its ground-truth events.
 
     The file gets the bytes of ``generate_synthetic``'s samples, written one
-    ``SYNTH_CHUNK``-sample chunk at a time, so memory stays chunk-bounded
-    whatever the duration. A ``path`` that is, or links to, an existing file
-    that is not a regular file (a device such as ``/dev/null``, or a FIFO)
-    is written through, chunk by chunk. Otherwise an output larger than the
-    free space of its directory raises ``OSError`` before anything is
-    written, and the chunks go to a temporary file beside the file ``path``
-    names (the target of a symlink, not the link) that replaces it only
-    after the last chunk; on any error it is removed, so ``path`` never
-    holds a truncated stream.
+    ``SYNTH_CHUNK``-sample chunk at a time through ``replaced_at_end``, so
+    memory stays chunk-bounded whatever the duration and ``path`` never holds
+    a truncated stream. Unless ``path`` is written through, an output larger
+    than the free space of its directory raises ``OSError`` before anything
+    is written.
     """
     path = Path(path)
-    if path.exists() and not path.is_file():
-        with open(path, "wb") as fh:
-            _write_chunks(spec, fh)
-        return _truth(spec)
-    target = Path(os.path.realpath(path))
     needed = spec.n_samples * _RAW_DTYPES["raw-f64le"].itemsize
-    free = shutil.disk_usage(target.parent).free
-    if needed > free:
-        raise OSError(f"{path}: the waveform needs {needed} bytes, "
-                      f"but its directory has {free} free")
-    part = target.with_name(f".{target.name}.{os.getpid()}.part")
-    fh = open(part, "xb")  # opened before the try: an existing name is not ours to remove
-    try:
-        with fh:
-            _write_chunks(spec, fh)
-        os.replace(part, target)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    if path.is_file() or not path.exists():
+        free = shutil.disk_usage(Path(os.path.realpath(path)).parent).free
+        if needed > free:
+            raise OSError(f"{path}: the waveform needs {needed} bytes, "
+                          f"but its directory has {free} free")
+    # closing: a failed write joins the helper before the file is removed
+    with replaced_at_end(path, mode="wb") as (fh,), closing(_render_synthetic(spec)) as chunks:
+        for out in chunks:
+            fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
     return _truth(spec)
 
 

@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
+import stat
 import threading
 
 import pytest
@@ -64,6 +66,21 @@ def test_synth_bad_setting_exits_2(tmp_path, capsys, setting):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "w.f64").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("fmt", ["csv", "raw-f32le"])
+def test_synth_format_other_than_raw_f64le_exits_2(tmp_path, capsys, source, fmt):
+    """synth writes raw-f64le only; another format would mislabel its bytes."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"format = {fmt}\n")
+    given = ["--format", fmt] if source == "flag" else ["--config", str(conf)]
+    argv = ["synth", "--duration", "10", "--out", str(tmp_path / "w.raw"),
+            "--truth", str(tmp_path / "t.csv"), *given]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
 
 def test_synth_missing_duration_fails(tmp_path, capsys):
@@ -202,6 +219,64 @@ def test_detect_runs_are_byte_identical(tmp_path):
     first = out.read_bytes()
     _detect(wave, out)
     assert out.read_bytes() == first
+
+
+def test_detect_failing_part_way_keeps_the_earlier_outputs(tmp_path, capsys, monkeypatch):
+    wave, _ = _synth(tmp_path)
+    events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"
+    argv = ["detect", "--input", str(wave), "--format", "raw-f64le",
+            "--out", str(events), "--verdicts", str(verdicts)]
+    assert cli.main([*argv, "--k", "1.0"]) == 0
+    earlier = events.read_bytes(), verdicts.read_bytes()
+    # the verdicts fail on their third slice of two rows, after the events are written
+    monkeypatch.setattr(cli, "CHUNK_WINDOWS", 2)
+    slices, verdict_rows = itertools.count(), cli._verdict_rows
+
+    def failing(rows):
+        if next(slices) == 2:
+            raise OSError(28, "No space left on device")
+        return verdict_rows(rows)
+
+    monkeypatch.setattr(cli, "_verdict_rows", failing)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert (events.read_bytes(), verdicts.read_bytes()) == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [wave.name, "wave.truth.csv", events.name, verdicts.name])
+
+
+def test_detect_clean_run_leaves_no_part_files(tmp_path, monkeypatch):
+    wave, _ = _synth(tmp_path)
+    events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"
+    _detect(wave, events, ["--verdicts", str(verdicts)])
+    whole = events.read_bytes(), verdicts.read_bytes()
+    monkeypatch.setattr(cli, "CHUNK_WINDOWS", 2)  # the rows in slices of two
+    _detect(wave, events, ["--verdicts", str(verdicts)])
+    assert (events.read_bytes(), verdicts.read_bytes()) == whole
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [wave.name, "wave.truth.csv", events.name, verdicts.name])
+
+
+def test_detect_out_and_verdicts_naming_one_file_leave_the_verdicts(tmp_path):
+    wave, _ = _synth(tmp_path)
+    verdicts, both = tmp_path / "verdicts.jsonl", tmp_path / "both.jsonl"
+    _detect(wave, tmp_path / "events.jsonl", ["--verdicts", str(verdicts)])
+    _detect(wave, both, ["--verdicts", str(both)])
+    assert both.read_text().splitlines()[1:] == verdicts.read_text().splitlines()[1:]
+    assert not list(tmp_path.glob(".*.part"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this platform")
+def test_detect_writes_a_device_directly(tmp_path, monkeypatch):
+    wave, _ = _synth(tmp_path)
+    verdicts = tmp_path / "verdicts.jsonl"
+    replaced, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda part, target: (replaced.append(target),
+                                                             replace(part, target)))
+    _detect(wave, "/dev/null", ["--verdicts", str(verdicts)])
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    assert replaced == [verdicts]
+    assert verdicts.read_text().count("window_start") == 9
 
 
 def test_eval_perfect_run(tmp_path, capsys):
