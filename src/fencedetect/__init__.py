@@ -31,7 +31,7 @@ from .signal_io import (
     write_ground_truth,
     write_waveform,
 )
-from .spectral import dft_naive, magnitude_spectrum, spectrogram
+from .spectral import magnitude_spectrum, spectrogram
 from .windowing import Window, to_block_matrix, windows
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "decimate",
     "delta_p",
     "detect",
-    "dft_naive",
     "extract_series",
     "forward_std",
     "generate_synthetic",

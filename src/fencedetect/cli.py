@@ -18,7 +18,7 @@ from .signal_io import (
     SampleStream,
     SyntheticSpec,
     decimate,
-    generate_synthetic,  # unused here; bench/spans.py wraps this name and write_waveform
+    generate_synthetic,  # unused, as are write_ground_truth and write_waveform; bench wraps them
     read_ground_truth,
     read_multichannel_csv,
     read_waveform,
@@ -133,8 +133,8 @@ def _parse_config(path: Path) -> dict:
 def _given(args: argparse.Namespace) -> dict:
     """The flags' settings over the config file's; a command merges them over its fallback."""
     given = _parse_config(Path(args.config)) if args.config else {}
-    given.update((key, flag) for key in RunConfig.__dataclass_fields__
-                 if (flag := getattr(args, key)) is not None)
+    given.update((key, flag) for key, flag in vars(args).items()
+                 if key in RunConfig.__dataclass_fields__ and flag is not None)
     return given
 
 
@@ -168,9 +168,11 @@ def _verdict_rows(verdicts) -> str:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    # a two-current-channel export is 12 kHz, halved to 6 kHz, unless a setting says otherwise
-    bled = {"rate": 12000.0, "decimate": 2} if args.bled_layout else {}
+    # a two-current-channel csv export is 12 kHz, halved to 6 kHz, unless a setting says otherwise
+    bled = {"format": "csv", "rate": 12000.0, "decimate": 2} if args.bled_layout else {}
     rc = RunConfig(**{**bled, **_given(args)})
+    if args.bled_layout and rc.format != "csv":
+        raise CliError(f"--bled-layout reads a csv export, got format {rc.format!r}")
     if not rc.input:
         raise CliError("detect needs --input")
     cfg = rc.detector
@@ -360,8 +362,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    truth = write_synthetic(spec, rc.out)
-    write_ground_truth(truth, rc.truth)
+    write_synthetic(spec, rc.out, rc.truth)
     # raw and plain-csv outputs take no header; provenance goes to stdout
     print(json.dumps({"config": {
         "duration": spec.duration_s, "rate": spec.sample_rate_hz,
@@ -406,79 +407,75 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each flag's argparse options; a subcommand's parser gets only the flags it reads
+_FLAGS = {
+    "input": dict(help="input file: a waveform, or for eval a detect events file"),
+    "format": dict(choices=list(FORMATS), help="waveform file format (default csv)"),
+    "rate": dict(type=float, help="sample rate in Hz (default 6000)"),
+    "decimate": dict(type=int, help="keep every n-th sample before detection (default 1)"),
+    "window": dict(type=int, help="analysis window length in samples (default 6016)"),
+    "step": dict(type=int, help="window step in samples (default 6016, non-overlapping)"),
+    "block": dict(type=int, help="FFT block length in samples (default 128)"),
+    "k": dict(type=float, help="Tukey fence constant (default 0.5)"),
+    "std-window": dict(type=int, help="forward standard deviation width in blocks (default 4)"),
+    "truth": dict(help="ground-truth csv (time_s[,label]); synth writes it, the others read it"),
+    "tolerance": dict(type=float, help="match tolerance in seconds (default: one window)"),
+    "seed": dict(type=int, help="generator seed (default 0)"),
+    "out": dict(help="output path (synth: the raw-f64le waveform; else default standard output)"),
+    "config": dict(help="key = value config file; flags win"),
+    "bled-layout": dict(choices=sorted(_BLED_COLUMNS),
+                        help="input is a two-current-channel csv export (time, current a, "
+                             "current b, voltage); picks the phase column and defaults to "
+                             "12 kHz decimated by 2"),
+    "verdicts": dict(help="per-window verdicts file: detect writes it, eval counts TN from it"),
+    "duration": dict(type=float, help="length in seconds"),
+    "mains-hz": dict(type=float, default=60.0),
+    "base-amplitude": dict(type=float, default=1.0),
+    "noise-std": dict(type=float, default=0.0),
+    "event": dict(action="append", help="TIME:DELTA[:ORDERxFRAC,...], repeatable"),
+    "drift-depth": dict(type=float, default=0.0,
+                        help="triangle amplitude modulation depth (default 0)"),
+    "drift-period": dict(type=float, default=10.0, help="triangle modulation period in seconds"),
+    "param": dict(required=True, choices=["k", "std_window", "step"],
+                  help="which parameter to sweep"),
+    "values": dict(required=True, help="comma-separated parameter values"),
+}
+
+_DETECTOR_FLAGS = "rate decimate window step block k std-window"
+# each subcommand's function, help and the flags it reads
+_COMMANDS = {
+    "detect": (cmd_detect, "find events in a waveform, write JSON lines",
+               f"input format {_DETECTOR_FLAGS} out config bled-layout verdicts"),
+    "synth": (cmd_synth, "generate a seeded test waveform + ground truth",
+              "rate seed truth out config duration mains-hz base-amplitude noise-std event "
+              "drift-depth drift-period"),
+    "eval": (cmd_eval, "score an events file against ground truth",
+             f"input truth tolerance {_DETECTOR_FLAGS} out config verdicts"),
+    "sweep": (cmd_sweep, "re-run detection across parameter values",
+              f"input format truth tolerance {_DETECTOR_FLAGS} out config param values"),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``; only the subcommand it invokes gets flags, as each costs time."""
     parser = argparse.ArgumentParser(
         prog="fencedetect",
         description="Detect appliance on/off events in aggregate current waveforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--input", help="input file (waveform, or events file for eval)")
-    shared.add_argument("--format", choices=list(FORMATS),
-                        help="waveform file format (default csv)")
-    shared.add_argument("--rate", type=float, help="sample rate in Hz (default 6000)")
-    shared.add_argument("--decimate", type=int,
-                        help="keep every n-th sample before detection (default 1)")
-    shared.add_argument("--window", type=int,
-                        help="analysis window length in samples (default 6016)")
-    shared.add_argument("--step", type=int,
-                        help="window step in samples (default 6016, non-overlapping)")
-    shared.add_argument("--block", type=int, help="FFT block length in samples (default 128)")
-    shared.add_argument("--k", type=float, help="Tukey fence constant (default 0.5)")
-    shared.add_argument("--std-window", type=int, dest="std_window",
-                        help="forward standard deviation width in blocks (default 4)")
-    shared.add_argument("--truth", help="ground-truth csv (time_s[,label])")
-    shared.add_argument("--tolerance", type=float,
-                        help="match tolerance in seconds (default: one window)")
-    shared.add_argument("--seed", type=int, help="generator seed (default 0)")
-    shared.add_argument("--out", help="output path (default: standard output)")
-    shared.add_argument("--config", help="key = value config file; flags win")
-
-    p_detect = sub.add_parser("detect", parents=[shared],
-                              help="find events in a waveform, write JSON lines")
-    p_detect.add_argument("--bled-layout", choices=sorted(_BLED_COLUMNS),
-                          help="input is a two-current-channel csv export "
-                               "(time, current a, current b, voltage); picks the "
-                               "phase column and defaults to 12 kHz decimated by 2")
-    p_detect.add_argument("--verdicts",
-                          help="also write per-window verdicts to this path")
-    p_detect.set_defaults(func=cmd_detect)
-
-    p_synth = sub.add_parser("synth", parents=[shared],
-                             help="generate a seeded test waveform + ground truth")
-    p_synth.add_argument("--duration", type=float, help="length in seconds")
-    p_synth.add_argument("--mains-hz", type=float, default=60.0)
-    p_synth.add_argument("--base-amplitude", type=float, default=1.0)
-    p_synth.add_argument("--noise-std", type=float, default=0.0)
-    p_synth.add_argument("--event", action="append",
-                         help="TIME:DELTA[:ORDERxFRAC,...], repeatable")
-    p_synth.add_argument("--drift-depth", type=float, default=0.0,
-                         help="triangle amplitude modulation depth (default 0)")
-    p_synth.add_argument("--drift-period", type=float, default=10.0,
-                         help="triangle modulation period in seconds")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_eval = sub.add_parser("eval", parents=[shared],
-                            help="score an events file against ground truth")
-    p_eval.add_argument("--verdicts",
-                        help="verdicts file from detect, enables the TN count")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", parents=[shared],
-                             help="re-run detection across parameter values")
-    p_sweep.add_argument("--param", required=True,
-                         choices=["k", "std_window", "step"],
-                         help="which parameter to sweep")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated parameter values")
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        if name == invoked:
+            for flag in flags.split():
+                command.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

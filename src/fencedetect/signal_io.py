@@ -8,6 +8,7 @@ were removed, so a noisy export never silently poisons the detector.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import mmap
 import os
@@ -577,15 +578,18 @@ def replaced_at_end(*paths: str | Path | None, mode: str = "w") -> Iterator[list
         raise
 
 
-def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEvent]:
+def write_synthetic(spec: SyntheticSpec, path: str | Path,
+                    truth_path: str | Path | None = None) -> list[GroundTruthEvent]:
     """Render a spec straight to a raw-f64le file and return its ground-truth events.
 
     The file gets the bytes of ``generate_synthetic``'s samples, written one
     ``SYNTH_CHUNK``-sample chunk at a time through ``replaced_at_end``, so
     memory stays chunk-bounded whatever the duration and ``path`` never holds
-    a truncated stream. Unless ``path`` is written through, an output larger
-    than the free space of its directory raises ``OSError`` before anything
-    is written.
+    a truncated stream. Given ``truth_path``, the events go there as
+    ``write_ground_truth`` writes them, opened with ``path`` before rendering,
+    and neither file is replaced unless both are complete. Unless ``path`` is
+    written through, an output larger than the free space of its directory
+    raises ``OSError`` before anything is written.
     """
     path = Path(path)
     needed = spec.n_samples * _RAW_DTYPES["raw-f64le"].itemsize
@@ -594,11 +598,15 @@ def write_synthetic(spec: SyntheticSpec, path: str | Path) -> list[GroundTruthEv
         if needed > free:
             raise OSError(f"{path}: the waveform needs {needed} bytes, "
                           f"but its directory has {free} free")
-    # closing: a failed write joins the helper before the file is removed
-    with replaced_at_end(path, mode="wb") as (fh,), closing(_render_synthetic(spec)) as chunks:
+    events = _truth(spec)
+    # closing: a failed write joins the helper before the files are removed
+    with (replaced_at_end(path, truth_path, mode="wb") as (fh, truth),
+          closing(_render_synthetic(spec)) as chunks):
         for out in chunks:
             fh.write(out.astype(_RAW_DTYPES["raw-f64le"], copy=False))
-    return _truth(spec)
+        if truth is not None:
+            truth.write(_truth_csv(events))
+    return events
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
@@ -634,9 +642,14 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
     return events
 
 
+def _truth_csv(events: list[GroundTruthEvent]) -> bytes:
+    """The ``time_s[,label]`` UTF-8 rows that read_ground_truth reads."""
+    text = io.StringIO()
+    csv.writer(text).writerows([repr(ev.time_s)] + ([ev.label] if ev.label else [])
+                               for ev in events)
+    return text.getvalue().encode("utf-8")
+
+
 def write_ground_truth(events: list[GroundTruthEvent], path: str | Path) -> None:
     """Write events as ``time_s[,label]`` UTF-8 rows, as read_ground_truth reads them."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for ev in events:
-            writer.writerow([repr(ev.time_s)] + ([ev.label] if ev.label else []))
+    Path(path).write_bytes(_truth_csv(events))

@@ -1,32 +1,16 @@
 """Block-level Fourier analysis.
 
-Magnitudes come from numpy's real-input FFT (``np.fft.rfft``); ``dft_naive``
-evaluates the defining sum directly and serves as its correctness oracle.
-Both compute the unnormalized forward transform
+Magnitudes come from numpy's real-input FFT (``np.fft.rfft``), the
+unnormalized forward transform
 
     X[j] = sum_n x[n] * exp(-2i*pi*j*n/N)
 
-and both accept stacked inputs, transforming along the last axis.
+taken along the last axis, so stacked inputs transform row by row.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def dft_naive(block: np.ndarray) -> np.ndarray:
-    """Direct O(N^2) evaluation of the DFT sum, any length >= 1.
-
-    Deliberately built from nothing but the definition so it can vouch for
-    the fast transform.
-    """
-    x = np.asarray(block, dtype=np.complex128)
-    n = x.shape[-1]
-    if n < 1:
-        raise ValueError("dft_naive needs at least one sample")
-    j = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(j, j) / n)  # symmetric
-    return x @ kernel
 
 
 def magnitude_spectrum(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

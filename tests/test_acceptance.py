@@ -34,8 +34,9 @@ from fencedetect.signal_io import (
     write_ground_truth,
     write_waveform,
 )
-from fencedetect.spectral import dft_naive, magnitude_spectrum, spectrogram
+from fencedetect.spectral import magnitude_spectrum, spectrogram
 from fencedetect.windowing import Window, to_block_matrix, windows
+from test_spectral import dft_naive
 
 RATE = 6000.0
 WINDOW = 6016

@@ -39,6 +39,20 @@ def _event_lines(path):
     return [l for l in lines if "sample_index" in l]
 
 
+# the flags each subcommand reads, as README lists them
+_FLAGS_READ = {
+    "detect": ["--input", "--format", "--rate", "--decimate", "--window", "--step", "--block",
+               "--k", "--std-window", "--out", "--config", "--bled-layout", "--verdicts"],
+    "synth": ["--rate", "--seed", "--truth", "--out", "--config", "--duration", "--mains-hz",
+              "--base-amplitude", "--noise-std", "--event", "--drift-depth", "--drift-period"],
+    "eval": ["--input", "--truth", "--tolerance", "--rate", "--decimate", "--window", "--step",
+             "--block", "--k", "--std-window", "--out", "--config", "--verdicts"],
+    "sweep": ["--input", "--format", "--truth", "--tolerance", "--rate", "--decimate", "--window",
+              "--step", "--block", "--k", "--std-window", "--out", "--config", "--param",
+              "--values"],
+}
+
+
 def test_synth_is_deterministic(tmp_path):
     w1, t1 = _synth(tmp_path, "one", seed=42)
     w2, t2 = _synth(tmp_path, "two", seed=42)
@@ -68,15 +82,14 @@ def test_synth_bad_setting_exits_2(tmp_path, capsys, setting):
     assert not (tmp_path / "w.f64").exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("fmt", ["csv", "raw-f32le"])
-def test_synth_format_other_than_raw_f64le_exits_2(tmp_path, capsys, source, fmt):
-    """synth writes raw-f64le only; another format would mislabel its bytes."""
+# synth takes no --format flag (test_each_command_takes_only_the_flags_it_reads)
+@pytest.mark.parametrize("fmt", ["csv", "raw-f32le"], ids=["csv-config", "raw-f32le-config"])
+def test_synth_format_other_than_raw_f64le_exits_2(tmp_path, capsys, fmt):
+    """synth writes raw-f64le only; a config file's other format would mislabel its bytes."""
     conf = tmp_path / "run.conf"
     conf.write_text(f"format = {fmt}\n")
-    given = ["--format", fmt] if source == "flag" else ["--config", str(conf)]
     argv = ["synth", "--duration", "10", "--out", str(tmp_path / "w.raw"),
-            "--truth", str(tmp_path / "t.csv"), *given]
+            "--truth", str(tmp_path / "t.csv"), "--config", str(conf)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
@@ -135,14 +148,20 @@ def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", [("--rate", "nan"), ("--rate", "inf"), ("--rate", "0"),
-                                     ("--rate", "-6000"), ("--decimate", "0"),
-                                     ("--decimate", "-1"), ("--window", "0"),
-                                     ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                     ("--tolerance", "-0.5"), ("--k", "nan"), ("--k", "inf"),
-                                     ("--seed", "-1")])
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["detect", "eval", "sweep"])
+_SHARED_SETTINGS = [("--rate", "nan"), ("--rate", "inf"), ("--rate", "0"), ("--rate", "-6000"),
+                    ("--decimate", "0"), ("--decimate", "-1"), ("--window", "0"),
+                    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-0.5"),
+                    ("--k", "nan"), ("--k", "inf"), ("--seed", "-1")]
+
+
+# a config key is checked by every command; a flag is taken only by the commands that read it
+# (test_each_command_takes_only_the_flags_it_reads)
+@pytest.mark.parametrize("command, source, setting", [
+    pytest.param(command, source, setting, id=f"{command}-{source}-setting{i}")
+    for command in ("detect", "eval", "sweep") for source in ("flag", "config")
+    for i, setting in enumerate(_SHARED_SETTINGS)
+    if source == "config" or setting[0] in _FLAGS_READ[command]
+])
 def test_bad_shared_setting_rejected_before_loading(tmp_path, capsys, command, source, setting):
     # inputs that do not exist: the setting error must win over the read error
     argv = [command, "--input", str(tmp_path / "missing")]
@@ -159,6 +178,47 @@ def test_bad_shared_setting_rejected_before_loading(tmp_path, capsys, command, s
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting[0][2:] in err
+
+
+# the flags all four subcommands took from one shared parser, each with values to pass where it
+# is not read; among them those the setting tests above passed before each command took its own
+_ONCE_SHARED = {
+    "--input": ["w.f64"], "--format": ["csv", "raw-f32le"], "--rate": ["6000"],
+    "--decimate": ["2"], "--window": ["3008"], "--step": ["3008"], "--block": ["64"],
+    "--k": ["1.0"], "--std-window": ["8"], "--truth": ["t.csv"],
+    "--tolerance": ["nan", "inf", "-0.5", "3"], "--seed": ["-1", "5"], "--out": ["o.txt"],
+    "--config": ["run.conf"],
+}
+# a command line each subcommand would run, but for the flag added to it
+_RUNNABLE = {
+    "detect": ["detect", "--input", "w.f64", "--format", "raw-f64le", "--out", "e.jsonl",
+               "--verdicts", "v.jsonl"],
+    "synth": ["synth", "--duration", "2", "--out", "w.f64", "--truth", "t.csv"],
+    "eval": ["eval", "--input", "e.jsonl", "--truth", "t.csv", "--out", "m.json"],
+    "sweep": ["sweep", "--input", "w.f64", "--format", "raw-f64le", "--truth", "t.csv",
+              "--param", "k", "--values", "0.5", "--out", "s.csv"],
+}
+
+
+@pytest.mark.parametrize("command", _FLAGS_READ)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {"--help",
+                                                                     *_FLAGS_READ[command]}
+    runnable = _RUNNABLE[command]
+    cli.build_parser(runnable).parse_args(runnable)
+    unread = [(flag, value) for flag, values in _ONCE_SHARED.items() if flag not in
+              _FLAGS_READ[command] for value in values]
+    assert unread
+    for flag, value in unread:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*runnable, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=25, deadline=None,
@@ -406,6 +466,27 @@ def test_bled_layout_defaults_to_12khz_decimated(tmp_path):
     assert abs(events[0]["time_s"] - 2.5) < 6016 / 6000
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bled_layout_with_a_format_other_than_csv_exits_2(tmp_path, capsys, source):
+    """A bled export is csv; reading it under another format would echo a format not used."""
+    import numpy as np
+
+    n = 24000  # 2 s at 12 kHz
+    phases = tmp_path / "phases.csv"
+    np.savetxt(phases, np.column_stack([np.arange(n) / 12000.0, np.zeros(n),
+                                        np.sin(np.arange(n) / 10.0), np.full(n, 120.0)]),
+               fmt="%.8g", delimiter=",", header="X_Value,Current_A,Current_B,VoltageA",
+               comments="")
+    conf = tmp_path / "run.conf"
+    conf.write_text("format = raw-f64le\n")
+    given = ["--format", "raw-f64le"] if source == "flag" else ["--config", str(conf)]
+    assert cli.main(["detect", "--input", str(phases), "--bled-layout", "b",
+                     "--out", str(tmp_path / "events.jsonl"), *given]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bled-layout ") and len(err.splitlines()) == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phases.csv", "run.conf"]
+
+
 def test_memory_error_exits_1_without_traceback(tmp_path, capsys):
     # 6e15 samples, 4.8e16 bytes: no disk has the room, so nothing is written
     wave = tmp_path / "w.f64"
@@ -459,6 +540,24 @@ def test_synth_failure_leaves_no_waveform(tmp_path, capsys, monkeypatch):
                      "--truth", str(truth)]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["wave.f64"]
     assert wave.read_bytes() == b"earlier"
+
+
+def test_synth_truth_in_a_missing_directory_renders_nothing_and_keeps_the_earlier_out(
+        tmp_path, capsys, monkeypatch):
+    from fencedetect import signal_io
+
+    entered, render = [], signal_io._render_synthetic
+    monkeypatch.setattr(signal_io, "_render_synthetic",
+                        lambda spec: entered.append(spec) or render(spec))
+    wave = tmp_path / "w.f64"
+    wave.write_bytes(b"earlier")
+    assert cli.main(["synth", "--duration", "2", "--out", str(wave),
+                     "--truth", str(tmp_path / "nodir" / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert wave.read_bytes() == b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.f64"]
+    assert entered == []
 
 
 def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
