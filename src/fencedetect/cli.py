@@ -147,7 +147,7 @@ def _load(rc: RunConfig, column: int | None = None) -> SampleStream:
     if report.dropped:
         print(f"note: dropped {report.dropped} invalid samples from {report.source}",
               file=sys.stderr)
-    return decimate(stream, rc.decimate) if rc.decimate > 1 else stream
+    return decimate(stream, rc.decimate)
 
 
 # one events or verdicts row, byte for byte what json.dumps gives for its three keys;
@@ -176,12 +176,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not rc.input:
         raise CliError("detect needs --input")
     cfg = rc.detector
-    stream = _load(rc, _BLED_COLUMNS.get(args.bled_layout))
-
-    events, verdicts = detect(stream, cfg)
-
     header = json.dumps({"config": asdict(rc)}) + "\n"
     with replaced_at_end(rc.out or None, args.verdicts or None) as (out, sidecar):
+        events, verdicts = detect(_load(rc, _BLED_COLUMNS.get(args.bled_layout)), cfg)
         for fh, rows, to_text in [(out or sys.stdout, events, _event_rows),
                                   (sidecar, verdicts, _verdict_rows)]:
             if fh is not None:  # the text of CHUNK_WINDOWS rows at a time, not the run's
@@ -297,27 +294,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError("eval needs --input (a detect events file)")
     if not rc.truth:
         raise CliError("eval needs --truth")
-    header, events = _read_rows(rc.input, _EVENT_KEYS)
-    # the settings detect ran with, unless a flag or the config file says otherwise
-    ran = {key: header[key] for key in ("window", "step", "block", "k", "std_window", "rate",
-                                        "decimate") if key in header}
-    try:
-        rc = RunConfig(**{**ran, **given})
-    except CliError as exc:
-        raise CliError(f"{rc.input}: in the config header: {exc}") from None
-    rc.detector  # CliError (exit 2) when no detect run could use the merged settings
-    truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
-    match = match_events(events["time_s"], truth_s, rc.tolerance_s)
-    tn = 0
-    if args.verdicts:
-        _, verdicts = _read_rows(args.verdicts, _VERDICT_KEYS)
-        tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth_s, rc.tolerance_s,
-                      window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
-    text = json.dumps({**metrics_from_counts(match.tp, match.fp, match.fn, tn),
-                       "tolerance_s": rc.tolerance_s, "config": asdict(rc)})
-    print(text)
-    if rc.out:
-        Path(rc.out).write_text(text + "\n")
+    with replaced_at_end(rc.out or None) as (out,):
+        header, events = _read_rows(rc.input, _EVENT_KEYS)
+        # the settings detect ran with, unless a flag or the config file says otherwise
+        ran = {key: header[key] for key in ("window", "step", "block", "k", "std_window", "rate",
+                                            "decimate") if key in header}
+        try:
+            rc = RunConfig(**{**ran, **given})
+        except CliError as exc:
+            raise CliError(f"{rc.input}: in the config header: {exc}") from None
+        rc.detector  # CliError (exit 2) when no detect run could use the merged settings
+        truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
+        match = match_events(events["time_s"], truth_s, rc.tolerance_s)
+        tn = 0
+        if args.verdicts:
+            _, verdicts = _read_rows(args.verdicts, _VERDICT_KEYS)
+            tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth_s, rc.tolerance_s,
+                          window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
+        text = json.dumps({**metrics_from_counts(match.tp, match.fp, match.fn, tn),
+                           "tolerance_s": rc.tolerance_s, "config": asdict(rc)})
+        print(text)
+        if out is not None:
+            out.write(text + "\n")
     return 0
 
 
@@ -390,20 +388,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"bad --values entry for {args.param}: {exc}") from exc
     configs = [replace(rc, **{args.param: value}).detector for value in values]
 
-    stream = _load(rc)
-    truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
+    with replaced_at_end(rc.out or None) as (out,):
+        stream = _load(rc)
+        truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
 
-    text = ("# config: " + json.dumps(asdict(rc)) + "\n"
-            "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms\n")
-    for value, cfg in zip(values, configs):
-        started = time.perf_counter()
-        events, _ = detect(stream, cfg)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        match = match_events(events.time_s, truth_s, rc.tolerance_s)
-        m = metrics_from_counts(match.tp, match.fp, match.fn)
-        text += (f"{value},{m['tp']},{m['fp']},{m['fn']},"
-                 f"{m['precision']!r},{m['recall']!r},{m['f_measure']!r},{wall_ms:.1f}\n")
-    (Path(rc.out).write_text if rc.out else sys.stdout.write)(text)
+        text = ("# config: " + json.dumps(asdict(rc)) + "\n"
+                "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms\n")
+        for value, cfg in zip(values, configs):
+            started = time.perf_counter()
+            events, _ = detect(stream, cfg)
+            wall_ms = (time.perf_counter() - started) * 1000.0
+            match = match_events(events.time_s, truth_s, rc.tolerance_s)
+            m = metrics_from_counts(match.tp, match.fp, match.fn)
+            text += (f"{value},{m['tp']},{m['fp']},{m['fn']},"
+                     f"{m['precision']!r},{m['recall']!r},{m['f_measure']!r},{wall_ms:.1f}\n")
+        (out or sys.stdout).write(text)
     return 0
 
 

@@ -270,25 +270,27 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
 
 
 def release(view: np.ndarray) -> None:
-    """Drop the resident pages of a contiguous view of a read-only file mapping.
+    """Drop the resident pages of a 1-D view of a read-only file mapping.
 
-    The whole pages inside the view leave the process
-    (``madvise(MADV_DONTNEED)``); a later read faults them back in from the
-    page cache with the same bytes, so the view's values never change. Only
-    its memory does: a pass over a mapped file that releases each chunk
-    after it holds a chunk's pages, not the file's. A no-op for in-memory
-    arrays, views of a writable mapping, non-contiguous views, views
-    smaller than a page, and platforms without ``MADV_DONTNEED``.
+    The whole pages between the view's lowest and highest byte leave the
+    process (``madvise(MADV_DONTNEED)``), whatever its stride; a later read
+    faults them back in from the page cache with the same bytes, so no
+    value of the mapping ever changes. Only its memory does: a pass over a
+    mapped file that releases each chunk after it holds a chunk's pages, not
+    the file's. A no-op for in-memory arrays, views of a writable mapping,
+    views spanning less than a page, and platforms without
+    ``MADV_DONTNEED``.
     """
     base = view  # np.memmap keeps its mapping as _mmap; find it along the .base chain
     while isinstance(base, np.ndarray) and getattr(base, "_mmap", None) is None:
         base = base.base
     if (not isinstance(base, np.memmap) or base.mode != "r"
-            or not hasattr(mmap, "MADV_DONTNEED") or not view.flags.contiguous):
+            or not hasattr(mmap, "MADV_DONTNEED")):
         return
-    offset = view.ctypes.data - np.frombuffer(base._mmap, np.uint8).ctypes.data
-    first = -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE
-    stop = (offset + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    extent = max(len(view) - 1, 0) * view.strides[0]  # first element to last; < 0 if reversed
+    low = view.ctypes.data + min(extent, 0) - np.frombuffer(base._mmap, np.uint8).ctypes.data
+    first = -(-low // mmap.PAGESIZE) * mmap.PAGESIZE
+    stop = (low + abs(extent) + view.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
     if stop > first:
         base._mmap.madvise(mmap.MADV_DONTNEED, first, stop - first)
 
@@ -301,27 +303,22 @@ def _chunks(values: np.ndarray, length: int) -> Iterator[tuple[int, np.ndarray]]
 def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
     """Map a headerless raw file read-only; a trailing partial sample is ignored.
 
-    A clean float64 file comes back as a read-only view of the mapping, not
-    a copy. Float32 converts into one float64 array. Non-finite samples are
-    counted and, when there are any, leave a compacted copy. Every pass
-    walks the file in ``RAW_CHUNK``-sample chunks and releases each one, so
-    no pass keeps the file's pages resident.
+    A first pass counts the non-finite samples. A clean float64 file then
+    comes back as a read-only view of the mapping, not a copy. Any other
+    file, float32 or one with non-finite samples, is compacted into one
+    float64 array of its finite samples. Both passes walk the file in
+    ``RAW_CHUNK``-sample chunks and release each one, so no pass keeps the
+    file's pages resident.
     """
     count = path.stat().st_size // dtype.itemsize
     if count == 0:
         return np.empty(0), 0  # np.memmap refuses a zero-length map
     raw = np.asarray(np.memmap(path, dtype=dtype, mode="r", shape=(count,)))
-    if dtype != np.float64:
-        mapped, raw = raw, np.empty(count)
-        for a, chunk in _chunks(mapped, RAW_CHUNK):
-            with np.errstate(invalid="ignore"):  # a float32 signalling NaN is dropped, not warned of
-                raw[a:a + len(chunk)] = chunk
-            release(chunk)
     dropped = 0
     for _, chunk in _chunks(raw, RAW_CHUNK):
         dropped += len(chunk) - int(np.count_nonzero(np.isfinite(chunk)))
         release(chunk)
-    if not dropped:
+    if dtype == np.float64 and not dropped:
         return raw, 0
     kept, n = np.empty(count - dropped), 0
     for _, chunk in _chunks(raw, RAW_CHUNK):
@@ -348,7 +345,8 @@ def read_waveform(
         The stream plus a report counting dropped (non-finite or
         unparseable) entries. Raw files are memory-mapped read-only; a
         clean ``raw-f64le`` file's samples are a read-only view of the
-        mapping, not a copy. The loader releases the pages it reads
+        mapping, not a copy, and any other raw file's finite samples fill
+        one float64 array. The loader releases the pages it reads
         (``release``), so they are resident only while in use.
 
     Raises:
@@ -401,22 +399,13 @@ def decimate(stream: SampleStream, factor: int) -> SampleStream:
     """Keep every factor-th sample, starting at index 0.
 
     Plain sample dropping, no anti-alias filtering; the output rate is the
-    input rate divided by the factor. The input is walked in chunks whose
-    length is a multiple of the factor, and each is released after use, so
-    a file-mapped input costs the output plus one chunk.
+    input rate divided by the factor. The output's samples are a strided
+    view of the input's, not a copy, so a file-mapped input stays mapped
+    and ``release`` can drop its pages as ``detect`` goes.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError("decimation factor must be an integer >= 1")
-    factor = int(factor)
-    if factor == 1:
-        return stream
-    samples = stream.samples
-    out = np.empty(-(-len(samples) // factor))
-    for a, chunk in _chunks(samples, max(1, RAW_CHUNK // factor) * factor):
-        kept = chunk[::factor]
-        out[a // factor:a // factor + len(kept)] = kept
-        release(chunk)
-    return SampleStream(out, stream.sample_rate_hz / factor)
+    return SampleStream(stream.samples[::int(factor)], stream.sample_rate_hz / factor)
 
 
 def _triangle(t: np.ndarray, period_s: float) -> np.ndarray:
@@ -553,7 +542,8 @@ def replaced_at_end(*paths: str | Path | None, mode: str = "w") -> Iterator[list
     file it names (the target of a symlink, not the link), and only once the
     block ends without error does each ``.part`` file replace its target.
     On any error they are all removed, so no path holds a partial file and
-    an earlier file stays as it was.
+    an earlier file stays as it was. A path that cannot be opened raises
+    its ``OSError`` naming that path, not its ``.part`` file.
     """
     parts = []
     try:
@@ -566,8 +556,12 @@ def replaced_at_end(*paths: str | Path | None, mode: str = "w") -> Iterator[list
                 target = Path(os.path.realpath(path))
                 # numbered, so two paths naming one file replace it in turn
                 part = target.with_name(f".{target.name}.{os.getpid()}.{len(parts)}.part")
-                # "x": an existing name is not ours to remove, so it joins parts once opened
-                handles.append(files.enter_context(open(part, mode.replace("w", "x"))))
+                try:
+                    # "x": an existing name is not ours to remove, so it joins parts once opened
+                    handles.append(files.enter_context(open(part, mode.replace("w", "x"))))
+                except OSError as exc:
+                    exc.filename = os.fspath(path)  # the path asked for, not its .part file
+                    raise
                 parts.append((part, target))
             yield handles
         for part, target in parts:

@@ -565,9 +565,28 @@ def test_synth_truth_in_a_missing_directory_renders_nothing_and_keeps_the_earlie
                      "--truth", str(tmp_path / "nodir" / "t.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert repr(str(tmp_path / "nodir" / "t.csv")) in err  # the path given, not a .part file
     assert wave.read_bytes() == b"earlier"
     assert [p.name for p in tmp_path.iterdir()] == ["w.f64"]
     assert entered == []
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+def test_out_in_a_missing_directory_exits_1_before_detecting(tmp_path, capsys, monkeypatch,
+                                                             command):
+    wave, truth = _synth(tmp_path)
+    called = []
+    monkeypatch.setattr(cli, "detect", lambda *args: called.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--input", wave.name, "--format", "raw-f64le", "--out", "nodir/e.out"]
+    if command == "sweep":
+        argv += ["--truth", truth.name, "--param", "k", "--values", "0.5"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "'nodir/e.out'" in err, err
+    assert called == []
+    assert not list(tmp_path.rglob("*.part"))
 
 
 def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):

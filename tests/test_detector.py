@@ -583,3 +583,33 @@ def test_cli_detect_peak_memory_does_not_grow_with_the_window_count(mapped_waves
                        "--verdicts", tmp_path / f"verdicts{minutes}.jsonl", script=_PEAK_OF_CLI)
              for minutes in (5, 20)]
     assert peaks[1] - peaks[0] < 8 * 1024, f"peak KiB {peaks}"
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_cli_detect_at_decimate_2_peaks_within_4_mib_of_the_plain_run(mapped_waves, tmp_path):
+    """``--decimate 2`` on a 20 min raw-f64le file keeps a strided view of the mapping,
+    not a copy of every other sample (27.5 MiB), so it peaks within 4 MiB of the same
+    run without ``--decimate``, in fresh processes."""
+    peaks = [_peak_kib("detect", "--input", mapped_waves[20], "--format", "raw-f64le", *extra,
+                       "--out", tmp_path / "events.jsonl", "--verdicts",
+                       tmp_path / "verdicts.jsonl", script=_PEAK_OF_CLI)
+             for extra in ((), ("--decimate", "2"))]
+    assert peaks[1] - peaks[0] < 4 * 1024, f"peak KiB {peaks}"
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_cli_detect_on_raw_f32_with_nans_peaks_within_4_mib_of_the_clean_file(mapped_waves,
+                                                                             tmp_path):
+    """A raw-f32le file with NaNs compacts into one float64 array, as a clean one
+    converts into one, not into a converted copy and then a compacted copy (55 MiB for
+    20 min), so it peaks within 4 MiB of the clean file, in fresh processes."""
+    samples = np.memmap(mapped_waves[20], dtype="<f8", mode="r").astype("<f4")
+    clean, holed = tmp_path / "clean.f32", tmp_path / "holed.f32"
+    samples.tofile(clean)
+    samples[::len(samples) // 200] = np.nan
+    samples.tofile(holed)
+    del samples
+    peaks = [_peak_kib("detect", "--input", path, "--format", "raw-f32le",
+                       "--out", tmp_path / "events.jsonl", script=_PEAK_OF_CLI)
+             for path in (clean, holed)]
+    assert peaks[1] - peaks[0] < 4 * 1024, f"peak KiB {peaks}"

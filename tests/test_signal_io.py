@@ -359,6 +359,7 @@ def test_chunked_decimate_of_a_mapped_stream_matches_a_strided_copy(tmp_path, mo
     assert isinstance(stream.samples.base, np.memmap)
     for factor in (1, 2, 3):
         out = decimate(stream, factor)
+        assert np.shares_memory(out.samples, stream.samples)  # a view, not a copy
         assert out.samples.tobytes() == stream.samples[::factor].copy().tobytes()
         assert out.sample_rate_hz == 12000.0 / factor
 
@@ -389,10 +390,9 @@ def test_release_keeps_a_touched_views_values(tmp_path):
     samples = _mapped_arange(tmp_path / "wave.f64", 3 * mmap.PAGESIZE)
     expected = np.arange(len(samples), dtype=np.float64)
     assert samples.tobytes() == expected.tobytes()  # every page touched
-    release(samples[100:2 * mmap.PAGESIZE + 7])
-    assert samples.tobytes() == expected.tobytes()
-    release(samples)
-    assert samples.tobytes() == expected.tobytes()
+    for view in (samples[100:2 * mmap.PAGESIZE + 7], samples[::2], samples[::-3], samples):
+        release(view)
+        assert samples.tobytes() == expected.tobytes()
 
 
 @pytest.mark.skipif(_status_kib("VmRSS") is None, reason="no VmRSS in /proc/self/status")
@@ -400,11 +400,12 @@ def test_release_returns_a_touched_views_pages(tmp_path):
     size = 64 * 2**20
     n = size // 8
     samples = _mapped_arange(tmp_path / "wave.f64", n)
-    assert samples.sum() == n * (n - 1) / 2  # exact below 2**53; reads every page
-    before = _status_kib("VmRSS")
-    release(samples)
-    after = _status_kib("VmRSS")
-    assert before - after > 0.75 * size / 1024, (before, after)
+    for view in (samples, samples[::2]):  # a strided view spans every page too
+        assert samples.sum() == n * (n - 1) / 2  # exact below 2**53; reads every page
+        before = _status_kib("VmRSS")
+        release(view)
+        after = _status_kib("VmRSS")
+        assert before - after > 0.75 * size / 1024, (before, after)
     assert samples.sum() == n * (n - 1) / 2
 
 
@@ -418,8 +419,8 @@ def test_release_leaves_memory_it_does_not_own_alone(tmp_path, monkeypatch):
     samples = _mapped_arange(tmp_path / "wave.f64", 4 * mmap.PAGESIZE)
     expected = samples.copy()
     page = mmap.PAGESIZE // 8  # samples per page
-    for view in (samples[:0], samples[10:20], samples[page - 100:page + 100],
-                 samples[::2]):  # empty, sub-page, unaligned across a page boundary, strided
+    for view in (samples[:0], samples[10:20], samples[page - 100:page + 100]):
+        # empty, sub-page, unaligned across a page boundary
         release(view)
     assert samples.tobytes() == expected.tobytes()
 
