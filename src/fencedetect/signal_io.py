@@ -18,7 +18,7 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ FORMATS = ("csv", "raw-f32le", "raw-f64le")
 
 # samples per generator pass; bounds every temporary the synthetic renderer holds
 SYNTH_CHUNK = 16384
-# lines per np.loadtxt call in a CSV file that holds a row np.loadtxt rejects
+# lines per block of a CSV file whose rows np.loadtxt cannot read whole
 CSV_BLOCK_LINES = 16384
 # samples per pass over a raw file or a stream; bounds the mapped pages a pass keeps
 RAW_CHUNK = 1 << 16
@@ -54,10 +54,6 @@ class SampleStream:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -183,10 +179,10 @@ def _parse_rows(lines: list[str], column: int | None) -> tuple[np.ndarray, int]:
 
 
 def _parse_csv_lines(text: str, column: int | None) -> tuple[np.ndarray, int]:
-    """The tolerant per-line parser: the one definition of what a CSV load drops.
+    """The tolerant per-line parser of a whole text: what a CSV load must give.
 
     A first non-blank row whose selected field is not numeric is a header;
-    every other line follows ``_parse_rows``.
+    every other line follows ``_parse_rows``. Tests hold the loader to it.
     """
     lines = text.removeprefix("\ufeff").splitlines()  # one UTF-8 byte-order mark, as Excel writes
     first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
@@ -201,21 +197,9 @@ _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _loadtxt_safe(path: Path) -> bool:
-    """True when np.loadtxt would see the lines str.splitlines sees.
-
-    That needs plain ASCII text, none of the extra line-break bytes, and a
-    name np.loadtxt does not take for an archive.
-    """
-    if path.suffix in _COMPRESSED_SUFFIXES:
-        return False
-    with open(path, "rb") as fh:
-        if fh.read(3) != b"\xef\xbb\xbf":  # a UTF-8 byte-order mark may lead the text
-            fh.seek(0)
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if not chunk.isascii() or any(brk in chunk for brk in _EXTRA_LINE_BREAKS):
-                return False
-    return True
+def _loadtxt_safe(chunk: bytes) -> bool:
+    """True when np.loadtxt would see the lines str.splitlines sees: ASCII, no extra break."""
+    return chunk.isascii() and not any(brk in chunk for brk in _EXTRA_LINE_BREAKS)
 
 
 def _loadtxt_column(lines, column: int | None, skip: int = 0) -> np.ndarray | None:
@@ -235,35 +219,47 @@ def _loadtxt_column(lines, column: int | None, skip: int = 0) -> np.ndarray | No
 def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     """Parse one comma-separated column (``None``: the whole line) of a file.
 
-    Clean files go through numpy's C loader. ``np.loadtxt`` accepts only
-    text that ``float()`` accepts, with the same rounding, so whenever it
-    reads every row its values and drop count equal those of
-    ``_parse_csv_lines``. When it rejects a row (an unparseable field, a
-    missing column, a whitespace-only line, a ``#`` line, ``1_000``), the
-    file is read again in blocks of ``CSV_BLOCK_LINES`` lines, and only a
-    block it rejects goes through the per-line rules. Text it would not see
-    as ``str.splitlines`` does is parsed by ``_parse_csv_lines`` instead.
+    The text is UTF-8 whatever the locale, one leading byte-order mark
+    skipped, split into lines as ``str.splitlines`` splits, so values and
+    drop counts equal those of ``_parse_csv_lines``. The header rule runs
+    once. When the bytes after the header are ``_loadtxt_safe`` and the name
+    is not an archive's, the whole file goes through numpy's C loader, which
+    accepts only what ``float()`` accepts, with the same rounding; the
+    header's own bytes do not count. Any other file, and one it rejects a
+    row of, is read in blocks of ``CSV_BLOCK_LINES`` lines, so memory stays
+    bounded: only a block that is not safe, or that it rejects, goes
+    through the per-line rules.
     """
-    if not _loadtxt_safe(path):
-        return _parse_csv_lines(path.read_text(), column)
-    skip = 0  # leading blank lines, and the header row if there is one
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            if line.strip():
-                if not _looks_numeric(_csv_field(line, column)):
-                    skip += 1
-                break
+    with open(path, "rb") as raw:
+        offset = 3 if raw.read(3) == b"\xef\xbb\xbf" else 0  # a UTF-8 byte-order mark
+        raw.seek(offset)
+        # skip: file lines before the rows; head: rows an extra break splits off the header line
+        skip, head, lines = 0, [], io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        for line in lines:
+            subs = line.splitlines(keepends=True)
+            first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
+            if first is not None and _looks_numeric(_csv_field(subs[first], column)):
+                break  # no header: the rows start at this line, blank lines in it included
             skip += 1
-    values = _loadtxt_column(path, column, skip)
-    if values is not None:
-        return _finite(values)
-    # a rejected row: only the blocks that hold one go through the per-line rules
+            offset += len(line.encode("utf-8"))
+            if first is not None:
+                head = [sub for sub in subs[first + 1:] if sub.strip()]
+                break
+        raw.seek(offset)  # past the header; drops what lines read ahead
+        safe = (not head and path.suffix not in _COMPRESSED_SUFFIXES
+                and all(map(_loadtxt_safe, iter(lambda: raw.read(1 << 20), b""))))
+    if safe:
+        values = _loadtxt_column(path, column, skip)
+        if values is not None:
+            return _finite(values)
     parts, dropped = [], 0
     with open(path, encoding="utf-8-sig") as fh:
-        rows = islice(fh, skip, None)
+        rows = chain(head, islice(fh, skip, None))
         for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
-            values = _loadtxt_column(block, column)
-            kept, bad = _parse_rows(block, column) if values is None else _finite(values)
+            values = (_loadtxt_column(block, column)
+                      if safe or _loadtxt_safe("".join(block).encode("utf-8")) else None)
+            kept, bad = (_finite(values) if values is not None
+                         else _parse_rows("".join(block).splitlines(), column))
             parts.append(kept)
             dropped += bad
     return np.concatenate(parts) if parts else np.empty(0), dropped
@@ -322,7 +318,7 @@ def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
         return raw, 0
     kept, n = np.empty(count - dropped), 0
     for _, chunk in _chunks(raw, RAW_CHUNK):
-        finite = chunk[np.isfinite(chunk)]
+        finite = chunk[np.isfinite(chunk)] if dropped else chunk
         kept[n:n + len(finite)] = finite
         n += len(finite)
         release(chunk)
@@ -343,7 +339,11 @@ def read_waveform(
 
     Returns:
         The stream plus a report counting dropped (non-finite or
-        unparseable) entries. Raw files are memory-mapped read-only; a
+        unparseable) entries. CSV text is UTF-8 whatever the locale, split
+        as ``str.splitlines`` splits; its rows go through numpy's C loader
+        whole when they are ASCII (the header does not count), and in
+        blocks of lines otherwise, so memory stays bounded
+        (``_read_csv_column``). Raw files are memory-mapped read-only; a
         clean ``raw-f64le`` file's samples are a read-only view of the
         mapping, not a copy, and any other raw file's finite samples fill
         one float64 array. The loader releases the pages it reads
@@ -362,8 +362,7 @@ def read_waveform(
         raise ValueError(f"unknown waveform format: {fmt!r}")
     if len(samples) == 0:
         raise ValueError(f"no valid samples in {path}")
-    stream = SampleStream(samples, sample_rate_hz)
-    return stream, LoadReport(source=str(path), kept=len(samples), dropped=dropped)
+    return SampleStream(samples, sample_rate_hz), LoadReport(str(path), len(samples), dropped)
 
 
 def read_multichannel_csv(
@@ -378,8 +377,7 @@ def read_multichannel_csv(
     samples, dropped = _read_csv_column(path, column)
     if len(samples) == 0:
         raise ValueError(f"no valid samples in column {column} of {path}")
-    stream = SampleStream(samples, sample_rate_hz)
-    return stream, LoadReport(source=str(path), kept=len(samples), dropped=dropped)
+    return SampleStream(samples, sample_rate_hz), LoadReport(str(path), len(samples), dropped)
 
 
 def write_waveform(stream: SampleStream, path: str | Path, fmt: str) -> None:

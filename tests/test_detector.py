@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import os
@@ -529,6 +530,16 @@ print(next(line.split()[1] for line in open("/proc/self/status") if line.startsw
 """
 
 
+# reads column 1 of the CSV file it is given, as ``--bled-layout a`` does; prints the
+# process's peak RSS in KiB
+_PEAK_OF_CSV = """
+import sys
+from fencedetect.signal_io import read_multichannel_csv
+read_multichannel_csv(sys.argv[1], 1, 12000.0)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
 def _peak_kib(*args, script=_PEAK_OF_DETECT) -> int:
     """VmHWM of a fresh process running ``script`` (``_PEAK_OF_DETECT`` on a path, or none)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
@@ -613,3 +624,29 @@ def test_cli_detect_on_raw_f32_with_nans_peaks_within_4_mib_of_the_clean_file(ma
                        "--out", tmp_path / "events.jsonl", script=_PEAK_OF_CLI)
              for path in (clean, holed)]
     assert peaks[1] - peaks[0] < 4 * 1024, f"peak KiB {peaks}"
+
+
+@pytest.mark.skipif(not _status_has("VmHWM"), reason="no VmHWM in /proc/self/status")
+def test_csv_with_non_ascii_text_peaks_within_8_mib_of_the_ascii_file(tmp_path):
+    """A ``µA`` unit in the header of a 13 MB 4-column export, or one non-ASCII
+    comment row in the middle of it, costs the load no whole-text copy of the file:
+    each peaks within 8 MiB of the all-ASCII file, in fresh processes."""
+    t = np.arange(360000) / 12000.0
+    table = np.column_stack([t, np.sin(120 * np.pi * t), np.cos(120 * np.pi * t),
+                             np.full(len(t), 120.0)])
+    text = io.StringIO()
+    np.savetxt(text, table, fmt="%.8g", delimiter=",")
+    rows = text.getvalue()
+    middle = rows.index("\n", len(rows) // 2) + 1
+    files = {
+        "ascii": "X_Value,Current_A,Current_B,VoltageA\n" + rows,
+        "header": "X_Value,Current_A (µA),Current_B,VoltageA\n" + rows,
+        "comment": ("X_Value,Current_A,Current_B,VoltageA\n" + rows[:middle]
+                    + "# calibrated in µA\n" + rows[middle:]),
+    }
+    peaks = {}
+    for name, body in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body, encoding="utf-8")
+        peaks[name] = _peak_kib(path, script=_PEAK_OF_CSV)
+    assert max(peaks["header"], peaks["comment"]) - peaks["ascii"] < 8 * 1024, f"peak KiB {peaks}"

@@ -1,5 +1,4 @@
 import itertools
-import locale
 import mmap
 import os
 import stat
@@ -133,19 +132,21 @@ def test_multichannel_column_select(tmp_path):
 
 def test_clean_csv_takes_the_c_loader(tmp_path, monkeypatch):
     def tolerant(*args):
-        raise AssertionError("clean input fell back to the per-line parser")
+        raise AssertionError("clean input fell back to the per-line rules")
 
-    monkeypatch.setattr(signal_io, "_parse_csv_lines", tolerant)
+    monkeypatch.setattr(signal_io, "_parse_rows", tolerant)
     table = np.column_stack([np.arange(50) / 12000.0, np.sin(np.arange(50)),
                              np.cos(np.arange(50)), np.full(50, 120.0)])
     table[7, 1] = np.nan
     rows = "\r\n".join(",".join(f"{v:.8g}" for v in row) for row in table)
     path = tmp_path / "phases.csv"
-    path.write_text("\nX_Value,Current_A,Current_B,VoltageA\r\n" + rows + "\r\n", newline="")
-    stream, report = read_multichannel_csv(path, 1, 12000.0)
     expected = np.array([float(f"{v:.8g}") for v in table[:, 1]])
-    assert stream.samples.tolist() == expected[np.isfinite(expected)].tolist()
-    assert (report.kept, report.dropped) == (49, 1)
+    # the header's own bytes do not decide the path: a unit label in it is not a row
+    for header in ("X_Value,Current_A,Current_B,VoltageA", "X_Value,Current_A (µA),B,°C"):
+        path.write_text(f"\n{header}\r\n" + rows + "\r\n", newline="", encoding="utf-8")
+        stream, report = read_multichannel_csv(path, 1, 12000.0)
+        assert stream.samples.tolist() == expected[np.isfinite(expected)].tolist()
+        assert (report.kept, report.dropped) == (49, 1)
 
     single = tmp_path / "wave.csv"
     single.write_text("current_a\n" + "\n".join(f" {float(v)!r} " for v in table[:, 2]) + "\n")
@@ -176,28 +177,27 @@ def test_comment_and_short_rows_fall_back_with_counts(tmp_path):
 
 def test_csv_byte_order_mark_before_a_headerless_first_row(tmp_path, monkeypatch):
     path = tmp_path / "wave.csv"
-    clean = signal_io._parse_csv_lines
+    clean = signal_io._parse_rows
 
     def tolerant(*args):
-        raise AssertionError("the byte-order mark sent a clean file to the per-line parser")
+        raise AssertionError("the byte-order mark sent a clean file to the per-line rules")
 
-    monkeypatch.setattr(signal_io, "_parse_csv_lines", tolerant)
+    monkeypatch.setattr(signal_io, "_parse_rows", tolerant)
     for text in (b"\xef\xbb\xbf0.5\n1.5\n", b"\xef\xbb\xbfcurrent_a\n0.5\n1.5\n"):
         path.write_bytes(text)
         stream, report = read_waveform(path, "csv", 6000.0)
         assert stream.samples.tolist() == [0.5, 1.5]
         assert (report.kept, report.dropped) == (2, 0)
-    # a bad row sends the file to the per-line parser, which skips the mark too
-    monkeypatch.setattr(signal_io, "_parse_csv_lines", clean)
+    # a bad row sends its block to the per-line rules, which skip the mark too
+    monkeypatch.setattr(signal_io, "_parse_rows", clean)
     path.write_bytes(b"\xef\xbb\xbf0.5,1.0\n# note\n1.5,2.0\n")
     stream, report = read_multichannel_csv(path, 0, 12000.0)
     assert stream.samples.tolist() == [0.5, 1.5]
     assert (report.kept, report.dropped) == (2, 1)
 
 
-_UTF8 = locale.getpreferredencoding(False).lower().replace("-", "") == "utf8"
-# control characters, some of which str.splitlines treats as line breaks
-_ODD_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x1f" + ("\x85\xa0\u2028\u0661" if _UTF8 else "")
+# control and non-ASCII characters, some of which str.splitlines treats as line breaks
+_ODD_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u0661"
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.floats(-1e6, 1e6).map(lambda v: f"{v:.8g}"),
@@ -223,7 +223,11 @@ def _csv_text(draw):
 
     lines = [""] * draw(st.integers(0, 2))
     if draw(st.booleans()):
-        lines.append(draw(st.sampled_from(["t,ia,ib,v", "current", " X , 1.0 ,b"])))
+        lines.append(draw(st.one_of(
+            st.sampled_from(["t,ia,ib,v", "current", " X , 1.0 ,b", "t,i (µA),b", "°C",
+                             "x\x0c1.5,2", "t\u2028\x0b2,3", "µ\x1e\x1e1"]),
+            st.text(alphabet="xµ°1.5 ,\t" + _ODD_CHARS, min_size=1, max_size=8),
+        )))
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["row", "row", "row", "blank", "space", "comment"]))
         if kind == "row":
@@ -246,13 +250,14 @@ def _load_csv(path, column):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_csv_text())
-def test_csv_column_reader_matches_tolerant_parser(tmp_path, text):
+@given(text=_csv_text(), block=st.sampled_from([1, 2, 5, 16384]))
+def test_csv_column_reader_matches_tolerant_parser(tmp_path, monkeypatch, text, block):
+    monkeypatch.setattr(signal_io, "CSV_BLOCK_LINES", block)
     path = tmp_path / "data.csv"
-    path.write_text(text, newline="")
+    path.write_text(text, newline="", encoding="utf-8")
     for column in (None, 0, 1, 2, 3):
         values, dropped = signal_io._read_csv_column(path, column)
-        want, want_dropped = signal_io._parse_csv_lines(path.read_text(), column)
+        want, want_dropped = signal_io._parse_csv_lines(path.read_text(encoding="utf-8"), column)
         assert values.dtype == np.float64
         assert values.tobytes() == want.tobytes()
         assert dropped == want_dropped
