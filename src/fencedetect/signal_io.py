@@ -221,40 +221,36 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
 
     The text is UTF-8 whatever the locale, one leading byte-order mark
     skipped, split into lines as ``str.splitlines`` splits, so values and
-    drop counts equal those of ``_parse_csv_lines``. The header rule runs
-    once. When the bytes after the header are ``_loadtxt_safe`` and the name
-    is not an archive's, the whole file goes through numpy's C loader, which
-    accepts only what ``float()`` accepts, with the same rounding; the
-    header's own bytes do not count. Any other file, and one it rejects a
-    row of, is read in blocks of ``CSV_BLOCK_LINES`` lines, so memory stays
-    bounded: only a block that is not safe, or that it rejects, goes
-    through the per-line rules.
+    drop counts equal those of ``_parse_csv_lines``; the header rule runs
+    once. When the whole text is ``_loadtxt_safe`` and the name is not an
+    archive's, the file goes through numpy's C loader, which accepts only
+    what ``float()`` accepts, with the same rounding. Any other file, and
+    one it rejects a row of, is read in blocks of ``CSV_BLOCK_LINES`` file
+    lines (split at ``\\r`` and ``\\n``): only a block that is not safe, or
+    that it rejects, goes through the per-line rules.
     """
     with open(path, "rb") as raw:
-        offset = 3 if raw.read(3) == b"\xef\xbb\xbf" else 0  # a UTF-8 byte-order mark
-        raw.seek(offset)
-        # skip: file lines before the rows; head: rows an extra break splits off the header line
-        skip, head, lines = 0, [], io.TextIOWrapper(raw, encoding="utf-8", newline="")
-        for line in lines:
-            subs = line.splitlines(keepends=True)
-            first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
-            if first is not None and _looks_numeric(_csv_field(subs[first], column)):
-                break  # no header: the rows start at this line, blank lines in it included
-            skip += 1
-            offset += len(line.encode("utf-8"))
-            if first is not None:
-                head = [sub for sub in subs[first + 1:] if sub.strip()]
-                break
-        raw.seek(offset)  # past the header; drops what lines read ahead
-        safe = (not head and path.suffix not in _COMPRESSED_SUFFIXES
+        if raw.read(3) != b"\xef\xbb\xbf":  # a UTF-8 byte-order mark may lead the text
+            raw.seek(0)
+        safe = (path.suffix not in _COMPRESSED_SUFFIXES
                 and all(map(_loadtxt_safe, iter(lambda: raw.read(1 << 20), b""))))
-    if safe:
-        values = _loadtxt_column(path, column, skip)
-        if values is not None:
-            return _finite(values)
     parts, dropped = [], 0
     with open(path, encoding="utf-8-sig") as fh:
-        rows = chain(head, islice(fh, skip, None))
+        skip = 0  # file lines before the rows: leading blank lines and the header
+        rows = fh
+        for line in fh:
+            subs = line.splitlines(keepends=True)  # more than one only when the text is not safe
+            first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
+            if first is not None:
+                header = not _looks_numeric(_csv_field(subs[first], column))
+                skip += header
+                rows = chain(subs[first + header:], fh)
+                break
+            skip += 1
+        if safe:
+            values = _loadtxt_column(path, column, skip)
+            if values is not None:
+                return _finite(values)
         for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
             values = (_loadtxt_column(block, column)
                       if safe or _loadtxt_safe("".join(block).encode("utf-8")) else None)
@@ -340,9 +336,8 @@ def read_waveform(
     Returns:
         The stream plus a report counting dropped (non-finite or
         unparseable) entries. CSV text is UTF-8 whatever the locale, split
-        as ``str.splitlines`` splits; its rows go through numpy's C loader
-        whole when they are ASCII (the header does not count), and in
-        blocks of lines otherwise, so memory stays bounded
+        as ``str.splitlines`` splits; it goes through numpy's C loader
+        whole when it is ASCII, and in blocks of file lines otherwise
         (``_read_csv_column``). Raw files are memory-mapped read-only; a
         clean ``raw-f64le`` file's samples are a read-only view of the
         mapping, not a copy, and any other raw file's finite samples fill
@@ -362,7 +357,8 @@ def read_waveform(
         raise ValueError(f"unknown waveform format: {fmt!r}")
     if len(samples) == 0:
         raise ValueError(f"no valid samples in {path}")
-    return SampleStream(samples, sample_rate_hz), LoadReport(str(path), len(samples), dropped)
+    stream = SampleStream(samples, sample_rate_hz)
+    return stream, LoadReport(source=str(path), kept=len(samples), dropped=dropped)
 
 
 def read_multichannel_csv(
@@ -377,7 +373,8 @@ def read_multichannel_csv(
     samples, dropped = _read_csv_column(path, column)
     if len(samples) == 0:
         raise ValueError(f"no valid samples in column {column} of {path}")
-    return SampleStream(samples, sample_rate_hz), LoadReport(str(path), len(samples), dropped)
+    stream = SampleStream(samples, sample_rate_hz)
+    return stream, LoadReport(source=str(path), kept=len(samples), dropped=dropped)
 
 
 def write_waveform(stream: SampleStream, path: str | Path, fmt: str) -> None:

@@ -134,19 +134,31 @@ def test_clean_csv_takes_the_c_loader(tmp_path, monkeypatch):
     def tolerant(*args):
         raise AssertionError("clean input fell back to the per-line rules")
 
+    loadtxt_column = signal_io._loadtxt_column
+    calls = []
+
+    def recording(lines, *args):
+        calls.append(lines)
+        return loadtxt_column(lines, *args)
+
     monkeypatch.setattr(signal_io, "_parse_rows", tolerant)
+    monkeypatch.setattr(signal_io, "_loadtxt_column", recording)
     table = np.column_stack([np.arange(50) / 12000.0, np.sin(np.arange(50)),
                              np.cos(np.arange(50)), np.full(50, 120.0)])
     table[7, 1] = np.nan
     rows = "\r\n".join(",".join(f"{v:.8g}" for v in row) for row in table)
     path = tmp_path / "phases.csv"
     expected = np.array([float(f"{v:.8g}") for v in table[:, 1]])
-    # the header's own bytes do not decide the path: a unit label in it is not a row
-    for header in ("X_Value,Current_A,Current_B,VoltageA", "X_Value,Current_A (µA),B,°C"):
+    # an ASCII file goes whole to the C loader; a unit label in the header sends
+    # it to the block path, whose ASCII blocks still go to the C loader
+    for header, whole in (("X_Value,Current_A,Current_B,VoltageA", True),
+                          ("X_Value,Current_A (µA),B,°C", False)):
         path.write_text(f"\n{header}\r\n" + rows + "\r\n", newline="", encoding="utf-8")
+        calls.clear()
         stream, report = read_multichannel_csv(path, 1, 12000.0)
         assert stream.samples.tolist() == expected[np.isfinite(expected)].tolist()
         assert (report.kept, report.dropped) == (49, 1)
+        assert [lines == path for lines in calls] == [whole]  # one call: the file or its one block
 
     single = tmp_path / "wave.csv"
     single.write_text("current_a\n" + "\n".join(f" {float(v)!r} " for v in table[:, 2]) + "\n")
