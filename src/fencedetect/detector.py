@@ -231,8 +231,8 @@ def detect(
     first outlying block of the first flagged window of its run, converted
     to a sample index, so localization is block-resolution (block_len
     samples) rather than window-resolution. With overlapping windows a run
-    can point at or before the event just emitted; it then joins that
-    event instead, so sample indices strictly increase.
+    can point at or before the last event, whose index is the largest of
+    the earlier runs'; it then joins that event, so indices strictly rise.
 
     Returns the merged events and the per-window verdicts, both in stream
     order, as two record arrays (``np.recarray``). The events have the
@@ -296,15 +296,13 @@ def detect(
         for future in futures:
             future.result()
 
-    merged = []  # (sample_index, time_s, window_start) per event
-    flagged_at = np.flatnonzero(verdicts.is_event)
-    previous = -2
-    for i, start, first in zip(flagged_at.tolist(), verdicts.window_start[flagged_at].tolist(),
-                               verdicts.first_outlier_block[flagged_at].tolist()):
-        index = start + first * cfg.block_len
-        if i != previous + 1 and not (merged and index <= merged[-1][0]):
-            merged.append((index, index / stream.sample_rate_hz, start))
-        previous = i
-    events = np.rec.fromrecords(merged, dtype=[
-        ("sample_index", np.int64), ("time_s", np.float64), ("window_start", np.int64)])
+    flagged = np.flatnonzero(verdicts.is_event)
+    first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first window of each run
+    run_start = verdicts.window_start[first]
+    index = run_start + verdicts.first_outlier_block[first] * cfg.block_len
+    # the last event's index is the largest earlier run's; a run not past it joins that event
+    keep = index > np.maximum.accumulate(np.append(-1, index))[:-1]
+    events = np.rec.fromarrays(
+        [index[keep], index[keep] / stream.sample_rate_hz, run_start[keep]],
+        dtype=[("sample_index", np.int64), ("time_s", np.float64), ("window_start", np.int64)])
     return events, verdicts

@@ -178,19 +178,6 @@ def _parse_rows(lines: list[str], column: int | None) -> tuple[np.ndarray, int]:
     return values, bad + dropped
 
 
-def _parse_csv_lines(text: str, column: int | None) -> tuple[np.ndarray, int]:
-    """The tolerant per-line parser of a whole text: what a CSV load must give.
-
-    A first non-blank row whose selected field is not numeric is a header;
-    every other line follows ``_parse_rows``. Tests hold the loader to it.
-    """
-    lines = text.removeprefix("\ufeff").splitlines()  # one UTF-8 byte-order mark, as Excel writes
-    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    if first < len(lines) and not _looks_numeric(_csv_field(lines[first], column)):
-        first += 1  # single header row
-    return _parse_rows(lines[first:], column)
-
-
 # str.splitlines also breaks lines at these bytes; np.loadtxt does not
 _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # np.loadtxt decompresses a path with one of these suffixes
@@ -220,14 +207,16 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     """Parse one comma-separated column (``None``: the whole line) of a file.
 
     The text is UTF-8 whatever the locale, one leading byte-order mark
-    skipped, split into lines as ``str.splitlines`` splits, so values and
-    drop counts equal those of ``_parse_csv_lines``; the header rule runs
-    once. When the whole text is ``_loadtxt_safe`` and the name is not an
-    archive's, the file goes through numpy's C loader, which accepts only
-    what ``float()`` accepts, with the same rounding. Any other file, and
-    one it rejects a row of, is read in blocks of ``CSV_BLOCK_LINES`` file
-    lines (split at ``\\r`` and ``\\n``): only a block that is not safe, or
-    that it rejects, goes through the per-line rules.
+    skipped, split into lines as ``str.splitlines`` splits. The first
+    non-blank line is a header when its selected field is not numeric, and
+    is then skipped; every later line follows ``_parse_rows``. Text that is
+    not UTF-8 raises ``ValueError`` naming the file. When the whole text is
+    ``_loadtxt_safe`` and the name is not an archive's, the file goes
+    through numpy's C loader, which accepts only what ``float()`` accepts,
+    with the same rounding. Any other file, and one it rejects a row of, is
+    read in blocks of ``CSV_BLOCK_LINES`` file lines (split at ``\\r`` and
+    ``\\n``): only a block that is not safe, or that it rejects, goes
+    through the per-line rules.
     """
     with open(path, "rb") as raw:
         if raw.read(3) != b"\xef\xbb\xbf":  # a UTF-8 byte-order mark may lead the text
@@ -235,29 +224,32 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
         safe = (path.suffix not in _COMPRESSED_SUFFIXES
                 and all(map(_loadtxt_safe, iter(lambda: raw.read(1 << 20), b""))))
     parts, dropped = [], 0
-    with open(path, encoding="utf-8-sig") as fh:
-        skip = 0  # file lines before the rows: leading blank lines and the header
-        rows = fh
-        for line in fh:
-            subs = line.splitlines(keepends=True)  # more than one only when the text is not safe
-            first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
-            if first is not None:
-                header = not _looks_numeric(_csv_field(subs[first], column))
-                skip += header
-                rows = chain(subs[first + header:], fh)
-                break
-            skip += 1
-        if safe:
-            values = _loadtxt_column(path, column, skip)
-            if values is not None:
-                return _finite(values)
-        for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
-            values = (_loadtxt_column(block, column)
-                      if safe or _loadtxt_safe("".join(block).encode("utf-8")) else None)
-            kept, bad = (_finite(values) if values is not None
-                         else _parse_rows("".join(block).splitlines(), column))
-            parts.append(kept)
-            dropped += bad
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            skip = 0  # file lines before the rows: leading blank lines and the header
+            rows = fh
+            for line in fh:
+                subs = line.splitlines(keepends=True)  # more than one only when text is not safe
+                first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
+                if first is not None:
+                    header = not _looks_numeric(_csv_field(subs[first], column))
+                    skip += header
+                    rows = chain(subs[first + header:], fh)
+                    break
+                skip += 1
+            if safe:
+                values = _loadtxt_column(path, column, skip)
+                if values is not None:
+                    return _finite(values)
+            for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
+                values = (_loadtxt_column(block, column)
+                          if safe or _loadtxt_safe("".join(block).encode("utf-8")) else None)
+                kept, bad = (_finite(values) if values is not None
+                             else _parse_rows("".join(block).splitlines(), column))
+                parts.append(kept)
+                dropped += bad
+    except UnicodeDecodeError as exc:  # its offset counts from the decoder's chunk, not the file
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return np.concatenate(parts) if parts else np.empty(0), dropped
 
 
@@ -604,8 +596,9 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
     One leading UTF-8 byte-order mark, blank lines and ``#`` comment lines
     are skipped; the first other row is a header when its time field is not
     numeric. Duplicate timestamps are preserved. A time that is unparseable,
-    non-finite or negative raises ``ValueError``, as does malformed CSV (an
-    unterminated quote, or a field over the csv module's size limit).
+    non-finite or negative raises ``ValueError``, as do malformed CSV (an
+    unterminated quote, or a field over the csv module's size limit) and
+    text that is not UTF-8.
     """
     path = Path(path)
     events: list[GroundTruthEvent] = []
@@ -616,6 +609,8 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEvent]:
                     if "".join(row).strip() and not row[0].lstrip().startswith("#")]
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
         for n, (i, row) in enumerate(rows):
             if n == 0 and not _looks_numeric(row[0]):
                 continue  # header

@@ -327,15 +327,24 @@ def _reference_detect(stream, cfg):
         flagged, first = classify_window(sigma, lo, hi)
         verdicts.append(_Row(start, bool(flagged), int(first), int(selected),
                              float(gap), float(q1), float(q3), float(lo), float(hi)))
+    return _merge_runs(verdicts, block_len, stream.sample_rate_hz), verdicts
+
+
+def _merge_runs(verdicts, block_len, rate):
+    """The run merge as a loop over verdict rows: ``(sample_index, time_s, window_start)`` tuples.
+
+    A run's first flagged window stamps it at its first outlying block; a run
+    at or before the last event joins that event.
+    """
     events = []
     in_run = False
     for v in verdicts:
         if v.is_event:
             index = v.window_start + v.first_outlier_block * block_len
             if not in_run and not (events and index <= events[-1][0]):
-                events.append((index, index / stream.sample_rate_hz, v.window_start))
+                events.append((index, index / rate, v.window_start))
         in_run = v.is_event
-    return events, verdicts
+    return events
 
 
 @st.composite
@@ -398,6 +407,45 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
                 assert got == want and all(type(got[name]) is type(want[name]) for name in got)
 
     check()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, detector.CHUNK_WINDOWS])
+@pytest.mark.parametrize("step", [128, 3008, 6016])
+def test_merge_matches_the_loop_on_drawn_verdicts(monkeypatch, step, chunk):
+    """Drawn flags, about half set, and first blocks in [0, 44) stand in for the fences."""
+    monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
+    monkeypatch.setattr(detector, "_workers", lambda: 1)  # chunks classified in stream order
+    cfg = DetectorConfig(step=step)
+    joins = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(cfg.window_len, 12 * cfg.window_len), seed=st.integers(0, 2**32 - 1))
+    def check(n, seed):
+        nonlocal joins
+        stream = SampleStream(np.sin(np.arange(n) / 17.0), 6000.0)
+        rng = np.random.default_rng(seed)
+        count = len(windows(stream, cfg))
+        is_event = rng.random(count) < 0.5
+        first = np.where(is_event, rng.integers(0, 44, count), -1)
+        taken = 0
+
+        def drawn(sigma, lo, hi):
+            nonlocal taken
+            taken += len(sigma)
+            return is_event[taken - len(sigma):taken], first[taken - len(sigma):taken]
+
+        monkeypatch.setattr(detector, "classify_window", drawn)
+        events, verdicts = detect(stream, cfg)
+        assert verdicts.is_event.tolist() == is_event.tolist()
+        assert verdicts.first_outlier_block.tolist() == first.tolist()
+        expected = _merge_runs(verdicts, cfg.block_len, stream.sample_rate_hz)
+        assert events.tolist() == expected
+        runs = np.count_nonzero(is_event & ~np.append(False, is_event[:-1]))
+        joins += runs - len(expected)
+
+    check()
+    # runs are two steps apart at least: at 3008 and 6016 that is past any block of the first
+    assert joins > 0 if step == 128 else joins == 0
 
 
 def test_many_threads_with_fast_switching_write_every_row_once(monkeypatch):

@@ -254,6 +254,19 @@ def _csv_text(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+def _parse_csv_lines(text, column):
+    """The tolerant per-line parser of a whole text: what a CSV load must give.
+
+    A first non-blank row whose selected field is not numeric is a header;
+    every other line follows ``_parse_rows``.
+    """
+    lines = text.removeprefix("\ufeff").splitlines()  # one UTF-8 byte-order mark, as Excel writes
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if first < len(lines):
+        first += not signal_io._looks_numeric(signal_io._csv_field(lines[first], column))  # header
+    return signal_io._parse_rows(lines[first:], column)
+
+
 def _load_csv(path, column):
     if column is None:
         return read_waveform(path, "csv", 6000.0)
@@ -269,7 +282,7 @@ def test_csv_column_reader_matches_tolerant_parser(tmp_path, monkeypatch, text, 
     path.write_text(text, newline="", encoding="utf-8")
     for column in (None, 0, 1, 2, 3):
         values, dropped = signal_io._read_csv_column(path, column)
-        want, want_dropped = signal_io._parse_csv_lines(path.read_text(encoding="utf-8"), column)
+        want, want_dropped = _parse_csv_lines(path.read_text(encoding="utf-8"), column)
         assert values.dtype == np.float64
         assert values.tobytes() == want.tobytes()
         assert dropped == want_dropped
@@ -304,7 +317,7 @@ def test_bad_rows_anywhere_in_a_clean_csv_match_the_tolerant_parser(
     path.write_text("\n".join(lines) + "\n")
     for column in (None, 0, 1, 2):
         values, dropped = signal_io._read_csv_column(path, column)
-        want, want_dropped = signal_io._parse_csv_lines(path.read_text(), column)
+        want, want_dropped = _parse_csv_lines(path.read_text(), column)
         assert values.tobytes() == want.tobytes()
         assert dropped == want_dropped
 
