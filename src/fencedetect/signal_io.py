@@ -178,15 +178,8 @@ def _parse_rows(lines: list[str], column: int | None) -> tuple[np.ndarray, int]:
     return values, bad + dropped
 
 
-# str.splitlines also breaks lines at these bytes; np.loadtxt does not
-_EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # np.loadtxt decompresses a path with one of these suffixes
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
-
-
-def _loadtxt_safe(chunk: bytes) -> bool:
-    """True when np.loadtxt would see the lines str.splitlines sees: ASCII, no extra break."""
-    return chunk.isascii() and not any(brk in chunk for brk in _EXTRA_LINE_BREAKS)
 
 
 def _loadtxt_column(lines, column: int | None, skip: int = 0) -> np.ndarray | None:
@@ -198,7 +191,7 @@ def _loadtxt_column(lines, column: int | None, skip: int = 0) -> np.ndarray | No
                 lines, delimiter=",", usecols=column, comments=None,
                 dtype=np.float64, ndmin=2, skiprows=skip, encoding="utf-8-sig",
             )
-    except ValueError:
+    except ValueError:  # a UnicodeDecodeError too; _read_csv_column's block pass raises it
         return None
     return values[:, 0] if values.shape[1] == 1 else None  # more: a comma in a whole-line file
 
@@ -207,45 +200,36 @@ def _read_csv_column(path: Path, column: int | None) -> tuple[np.ndarray, int]:
     """Parse one comma-separated column (``None``: the whole line) of a file.
 
     The text is UTF-8 whatever the locale, one leading byte-order mark
-    skipped, split into lines as ``str.splitlines`` splits. The first
-    non-blank line is a header when its selected field is not numeric, and
-    is then skipped; every later line follows ``_parse_rows``. Text that is
-    not UTF-8 raises ``ValueError`` naming the file. When the whole text is
-    ``_loadtxt_safe`` and the name is not an archive's, the file goes
-    through numpy's C loader, which accepts only what ``float()`` accepts,
-    with the same rounding. Any other file, and one it rejects a row of, is
-    read in blocks of ``CSV_BLOCK_LINES`` file lines (split at ``\\r`` and
-    ``\\n``): only a block that is not safe, or that it rejects, goes
-    through the per-line rules.
+    skipped, and a line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as Python text
+    files and ``np.loadtxt`` read it. The first non-blank line is a header
+    when its selected field is not numeric, and is then skipped; every later
+    line follows ``_parse_rows``. Text that is not UTF-8 raises
+    ``ValueError`` naming the file. Unless the name is an archive's, the
+    whole file goes through numpy's C loader, which accepts only what
+    ``float()`` accepts, with the same value. Any other file, and one it
+    rejects a row of, is read in blocks of ``CSV_BLOCK_LINES`` lines: each
+    block goes to the C loader, and only a block it rejects goes through the
+    per-line rules.
     """
-    with open(path, "rb") as raw:
-        if raw.read(3) != b"\xef\xbb\xbf":  # a UTF-8 byte-order mark may lead the text
-            raw.seek(0)
-        safe = (path.suffix not in _COMPRESSED_SUFFIXES
-                and all(map(_loadtxt_safe, iter(lambda: raw.read(1 << 20), b""))))
     parts, dropped = [], 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
             skip = 0  # file lines before the rows: leading blank lines and the header
             rows = fh
             for line in fh:
-                subs = line.splitlines(keepends=True)  # more than one only when text is not safe
-                first = next((i for i, sub in enumerate(subs) if sub.strip()), None)
-                if first is not None:
-                    header = not _looks_numeric(_csv_field(subs[first], column))
+                if line.strip():
+                    header = not _looks_numeric(_csv_field(line, column))
                     skip += header
-                    rows = chain(subs[first + header:], fh)
+                    rows = chain([line][header:], fh)
                     break
                 skip += 1
-            if safe:
+            if path.suffix not in _COMPRESSED_SUFFIXES:
                 values = _loadtxt_column(path, column, skip)
                 if values is not None:
                     return _finite(values)
             for block in iter(lambda: list(islice(rows, CSV_BLOCK_LINES)), []):
-                values = (_loadtxt_column(block, column)
-                          if safe or _loadtxt_safe("".join(block).encode("utf-8")) else None)
-                kept, bad = (_finite(values) if values is not None
-                             else _parse_rows("".join(block).splitlines(), column))
+                values = _loadtxt_column(block, column)
+                kept, bad = _finite(values) if values is not None else _parse_rows(block, column)
                 parts.append(kept)
                 dropped += bad
     except UnicodeDecodeError as exc:  # its offset counts from the decoder's chunk, not the file
@@ -327,9 +311,10 @@ def read_waveform(
 
     Returns:
         The stream plus a report counting dropped (non-finite or
-        unparseable) entries. CSV text is UTF-8 whatever the locale, split
-        as ``str.splitlines`` splits; it goes through numpy's C loader
-        whole when it is ASCII, and in blocks of file lines otherwise
+        unparseable) entries. CSV text is UTF-8 whatever the locale, with
+        lines ending at ``\\n``, ``\\r\\n`` or ``\\r``; unless the name is an
+        archive's it goes whole through numpy's C loader, and a file with a
+        row that loader rejects is read in blocks of lines
         (``_read_csv_column``). Raw files are memory-mapped read-only; a
         clean ``raw-f64le`` file's samples are a read-only view of the
         mapping, not a copy, and any other raw file's finite samples fill
@@ -359,7 +344,8 @@ def read_multichannel_csv(
     """Load one column of a comma-separated multi-channel export.
 
     Rows whose selected column is missing or non-finite are dropped and
-    counted; a non-numeric first row is treated as a header.
+    counted; a non-numeric first row is treated as a header. The text is
+    read as ``read_waveform`` reads CSV (``_read_csv_column``).
     """
     path = Path(path)
     samples, dropped = _read_csv_column(path, column)

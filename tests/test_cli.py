@@ -498,24 +498,41 @@ def test_bled_layout_with_a_format_other_than_csv_exits_2(tmp_path, capsys, sour
 
 
 @pytest.mark.parametrize("command", ["detect", "eval"])
-def test_a_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys, command):
+def test_a_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, command):
     """A Latin-1 µ in a header is not UTF-8; the error names the file, not a decoder offset."""
+    from fencedetect import signal_io
+
     latin = tmp_path / "latin.csv"
     out = tmp_path / "out.jsonl"
     if command == "detect":
-        latin.write_bytes(b"X_Value,Current_A (\xb5A),Current_B,VoltageA\n"
-                          + b"0.0,0.0,0.0,120.0\n" * 24000)
+        rows = b"0.0,0.0,0.0,120.0\n" * 24000
+        # in the header, and in a row past the header's decoded text, which the C loader meets
+        texts = [b"X_Value,Current_A (\xb5A),Current_B,VoltageA\n" + rows,
+                 b"X_Value,Current_A,Current_B,VoltageA\n" + rows + b"0.0,\xb5,0.0,120.0\n"]
         argv = ["detect", "--input", str(latin), "--bled-layout", "a", "--out", str(out)]
     else:
-        latin.write_bytes(b"time_s,label (\xb5A)\n1.0,on\n")
+        texts = [b"time_s,label (\xb5A)\n1.0,on\n"]
         events = tmp_path / "events.jsonl"
         events.write_text('{"config": {}}\n{"sample_index": 6000, "time_s": 1.0, '
                           '"window_start": 0}\n')
         argv = ["eval", "--input", str(events), "--truth", str(latin), "--out", str(out)]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {latin}: not UTF-8 text: ") and len(err.splitlines()) == 1, err
-    assert not out.exists() and not list(tmp_path.glob("*.part"))
+    loadtxt_column = signal_io._loadtxt_column
+    calls = []
+
+    def recording(lines, *args):
+        calls.append(lines)
+        return loadtxt_column(lines, *args)
+
+    monkeypatch.setattr(signal_io, "_loadtxt_column", recording)
+    for text in texts:
+        latin.write_bytes(text)
+        calls.clear()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin}: not UTF-8 text: ") and len(err.splitlines()) == 1, err
+        assert not out.exists() and not list(tmp_path.glob("*.part"))
+    if command == "detect":
+        assert calls[0] == latin  # the row's byte: met first inside the C loader, then reported
 
 
 def test_memory_error_exits_1_without_traceback(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import mmap
 import os
@@ -149,16 +150,14 @@ def test_clean_csv_takes_the_c_loader(tmp_path, monkeypatch):
     rows = "\r\n".join(",".join(f"{v:.8g}" for v in row) for row in table)
     path = tmp_path / "phases.csv"
     expected = np.array([float(f"{v:.8g}") for v in table[:, 1]])
-    # an ASCII file goes whole to the C loader; a unit label in the header sends
-    # it to the block path, whose ASCII blocks still go to the C loader
-    for header, whole in (("X_Value,Current_A,Current_B,VoltageA", True),
-                          ("X_Value,Current_A (µA),B,°C", False)):
+    # the file goes whole to the C loader, a unit label in the header or not
+    for header in ("X_Value,Current_A,Current_B,VoltageA", "X_Value,Current_A (µA),B,°C"):
         path.write_text(f"\n{header}\r\n" + rows + "\r\n", newline="", encoding="utf-8")
         calls.clear()
         stream, report = read_multichannel_csv(path, 1, 12000.0)
         assert stream.samples.tolist() == expected[np.isfinite(expected)].tolist()
         assert (report.kept, report.dropped) == (49, 1)
-        assert [lines == path for lines in calls] == [whole]  # one call: the file or its one block
+        assert [lines == path for lines in calls] == [True]  # one call, with the file
 
     single = tmp_path / "wave.csv"
     single.write_text("current_a\n" + "\n".join(f" {float(v)!r} " for v in table[:, 2]) + "\n")
@@ -208,7 +207,36 @@ def test_csv_byte_order_mark_before_a_headerless_first_row(tmp_path, monkeypatch
     assert (report.kept, report.dropped) == (2, 1)
 
 
-# control and non-ASCII characters, some of which str.splitlines treats as line breaks
+@pytest.mark.parametrize("brk", ["\v", "\u2028", "\x1c"], ids=["vt", "ls", "fs"])
+@pytest.mark.parametrize("column, want, dropped", [(0, [1.0, 5.0], 0), (1, [6.0], 1)],
+                         ids=["column0", "column1"])
+def test_a_csv_line_ends_only_at_cr_or_lf(tmp_path, brk, column, want, dropped):
+    # str.splitlines would split the second line in two: [1.0, 3.0, 5.0] and [2.0, 4.0, 6.0]
+    path = tmp_path / "phases.csv"
+    path.write_text(f"t,ia,ib\n1.0,2.0{brk}3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+    stream, report = read_multichannel_csv(path, column, 12000.0)
+    assert stream.samples.tolist() == want
+    assert (report.kept, report.dropped) == (len(want), dropped)
+
+
+def test_cr_crlf_and_lf_endings_in_one_file_read_alike(tmp_path):
+    rows = ["t,ia", "0,0.5", "1,1.5", "2,# note", "3,2.5", "4,3.5"]
+    lf, mixed = tmp_path / "lf.csv", tmp_path / "mixed.csv"
+    lf.write_text("\n".join(rows) + "\n")
+    endings = itertools.cycle(["\r", "\r\n", "\n"])
+    mixed.write_text("".join(row + end for row, end in zip(rows, endings)), newline="")
+    for column in (0, 1):
+        (want, want_report), (got, got_report) = (
+            read_multichannel_csv(path, column, 12000.0) for path in (lf, mixed))
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got_report.kept, got_report.dropped) == (want_report.kept, want_report.dropped)
+    assert read_multichannel_csv(mixed, 1, 12000.0)[0].samples.tolist() == [0.5, 1.5, 2.5, 3.5]
+    truth = tmp_path / "truth.csv"
+    truth.write_text("time_s,label\r2.5,off\r\r1.0,on\r", newline="")
+    assert read_ground_truth(truth) == [GroundTruthEvent(1.0, "on"), GroundTruthEvent(2.5, "off")]
+
+
+# control and non-ASCII characters; str.splitlines breaks lines at some, a CSV line never does
 _ODD_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u0661"
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -260,7 +288,8 @@ def _parse_csv_lines(text, column):
     A first non-blank row whose selected field is not numeric is a header;
     every other line follows ``_parse_rows``.
     """
-    lines = text.removeprefix("\ufeff").splitlines()  # one UTF-8 byte-order mark, as Excel writes
+    text = text.removeprefix("\ufeff")  # one UTF-8 byte-order mark, as Excel writes
+    lines = io.StringIO(text, newline=None).read().split("\n")  # ends: \n, \r\n, \r
     first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     if first < len(lines):
         first += not signal_io._looks_numeric(signal_io._csv_field(lines[first], column))  # header
