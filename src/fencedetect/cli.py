@@ -176,7 +176,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not rc.input:
         raise CliError("detect needs --input")
     cfg = rc.detector
-    header = json.dumps({"config": asdict(rc)}) + "\n"
+    # the settings detect reads; a config file's truth, tolerance and seed are not echoed
+    header = json.dumps({"config": {key: value for key, value in asdict(rc).items()
+                                    if key not in ("truth", "tolerance", "seed")}}) + "\n"
     with replaced_at_end(rc.out or None, args.verdicts or None) as (out, sidecar):
         events, verdicts = detect(_load(rc, _BLED_COLUMNS.get(args.bled_layout)), cfg)
         for fh, rows, to_text in [(out or sys.stdout, events, _event_rows),

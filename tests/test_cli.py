@@ -142,7 +142,8 @@ def test_detect_unreadable_input_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", [("--block", "94"), ("--block", "100"),
                                      ("--step", "0"), ("--std-window", "1"),
-                                     ("--k", "nan"), ("--k", "inf")])
+                                     ("--k", "nan"), ("--k", "inf"),
+                                     ("--step", str(2**64))])  # past int64 sample indices
 @pytest.mark.parametrize("command", ["detect", "sweep"])
 def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting):
     # the input does not exist: a config error must win over the read error
@@ -634,10 +635,10 @@ def test_detect_worker_failure_exits_1_and_writes_nothing(tmp_path, capsys, monk
     calls = itertools.count()
     spectrogram = detector.spectrogram
 
-    def failing(blocks, **kwargs):
+    def failing(blocks):
         if next(calls) >= 2:  # a later chunk
             raise MemoryError("cannot allocate the spectra")
-        return spectrogram(blocks, **kwargs)
+        return spectrogram(blocks)
 
     monkeypatch.setattr(detector, "spectrogram", failing)
     events, verdicts = tmp_path / "events.jsonl", tmp_path / "verdicts.jsonl"
@@ -856,18 +857,19 @@ def test_read_rows_by_column_matches_the_row_by_row_check(tmp_path, lines):
 _ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
          '"window": %d, "step": 6016, "block": %d, "k": %s, "std_window": 4, '
          '"truth": %s, "tolerance": %s, "seed": 0, "out": %s}}')
+# detect's header echoes only the settings detect reads: no truth, tolerance or seed
+_DETECT_ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
+                '"window": %d, "step": 6016, "block": %d, "k": %s, "std_window": 4, '
+                '"out": "events.jsonl"}}')
 
 
 @pytest.mark.parametrize("argv, header", [
     (["--input", "wave.f64", "--format", "raw-f64le"],
-     _ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 6016, 128, "0.5", "null", "null",
-              '"events.jsonl"')),
+     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 6016, 128, "0.5")),
     (["--input", "phases.csv", "--bled-layout", "b"],
-     _ECHO % ("phases.csv", "csv", "12000.0", 2, 6016, 128, "0.5", "null", "null",
-              '"events.jsonl"')),
+     _DETECT_ECHO % ("phases.csv", "csv", "12000.0", 2, 6016, 128, "0.5")),
     (["--input", "wave.f64", "--config", "run.conf", "--k", "1.5"],
-     _ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 3008, 64, "1.5", "null", "0.25",
-              '"events.jsonl"')),
+     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 3008, 64, "1.5")),
 ], ids=["defaults", "bled-layout", "config-and-flag"])
 def test_detect_header_line_is_pinned(tmp_path, monkeypatch, argv, header):
     import numpy as np
@@ -880,7 +882,8 @@ def test_detect_header_line_is_pinned(tmp_path, monkeypatch, argv, header):
                fmt="%.8g", delimiter=",", header="X_Value,Current_A,Current_B,VoltageA",
                comments="")
     (tmp_path / "run.conf").write_text(
-        "format = raw-f64le\nk = 0.75\nwindow = 3008\nblock = 64\ntolerance = 0.25\n")
+        "format = raw-f64le\nk = 0.75\nwindow = 3008\nblock = 64\ntolerance = 0.25\n"
+        "truth = nope.csv\nseed = 5\n")
     assert cli.main(["detect", *argv, "--out", "events.jsonl", "--verdicts", "v.jsonl"]) == 0
     assert (tmp_path / "events.jsonl").read_text().splitlines()[0] == header
     assert (tmp_path / "v.jsonl").read_text().splitlines()[0] == header

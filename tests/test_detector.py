@@ -373,14 +373,16 @@ def _stepped_runs(draw):
     return SampleStream(samples, 6000.0), cfg
 
 
-# windows per FFT sub-batch: one, a few, the default and more than any chunk holds
-FFT_BATCHES = (1, 3, detector.FFT_WINDOWS, detector.CHUNK_WINDOWS + 1)
+# windows in flight over all threads: one, a few, the default and more than the default
+CHUNK_SIZES = (1, 3, detector.CHUNK_WINDOWS, 256)
+# 3 threads times the longest drawn stream (12 windows of 10 blocks of 32 samples), so
+# one chunk takes a whole stream on any thread count
+WHOLE_STREAM = 3 * 12 * 32 * 10
 
 
-@pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
+@pytest.mark.parametrize("chunk", [*CHUNK_SIZES, WHOLE_STREAM])
 def test_columns_match_per_window_reference(monkeypatch, chunk):
-    """Each example runs on 1, 2 and 3 worker threads and each FFT sub-batch
-    size against the one reference."""
+    """Each example runs on 1, 2 and 3 worker threads against the one reference."""
     monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
 
     @settings(max_examples=60, deadline=None)
@@ -390,16 +392,15 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
         expected_events, rows = _reference_detect(stream, cfg)
         names = [f.name for f in fields(_Row)]
         expected = {name: [getattr(v, name) for v in rows] for name in names}
-        for workers, batch in itertools.product((1, 2, 3), FFT_BATCHES):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(detector, "_workers", lambda: workers)
-            monkeypatch.setattr(detector, "FFT_WINDOWS", batch)
             events, verdicts = detect(stream, cfg)
-            assert events.tolist() == expected_events, (workers, batch)
+            assert events.tolist() == expected_events, workers
             assert len(verdicts) == len(rows)
             for name, values in expected.items():
                 column = getattr(verdicts, name)
                 want = np.array(values, dtype=column.dtype).reshape(column.shape)
-                assert column.tobytes() == want.tobytes(), (name, workers, batch)
+                assert column.tobytes() == want.tobytes(), (name, workers)
             assert list(verdicts.dtype.names) == names
             # the rows the record iterates as are the reference's rows
             for got, want in zip(verdicts, rows):
@@ -409,7 +410,7 @@ def test_columns_match_per_window_reference(monkeypatch, chunk):
     check()
 
 
-@pytest.mark.parametrize("chunk", [1, 5, detector.CHUNK_WINDOWS])
+@pytest.mark.parametrize("chunk", [1, 5, detector.CHUNK_WINDOWS, 256])
 @pytest.mark.parametrize("step", [128, 3008, 6016])
 def test_merge_matches_the_loop_on_drawn_verdicts(monkeypatch, step, chunk):
     """Drawn flags, about half set, and first blocks in [0, 44) stand in for the fences."""
@@ -448,6 +449,44 @@ def test_merge_matches_the_loop_on_drawn_verdicts(monkeypatch, step, chunk):
     assert joins > 0 if step == 128 else joins == 0
 
 
+@pytest.mark.parametrize("step", [6016, 3072, 1000])
+def test_detect_is_invariant_to_scale_and_shift_of_the_stream(step):
+    """Scaling the samples by 2, 0.5 or -1 keeps every decision and event bit for bit and
+    scales the gap, quartiles and fences by |factor| exactly; prepending ``step`` samples
+    moves every verdict row one row on, with ``window_start`` raised by ``step``."""
+    cfg = DetectorConfig(step=step)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(cfg.window_len, 8 * cfg.window_len), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 0.01, 0.2]))
+    def check(n, seed, noise):
+        rng = np.random.default_rng(seed)
+        level = np.ones(n)
+        for onset, delta in zip(rng.integers(0, n, 3), rng.uniform(-0.8, 0.8, 3)):
+            level[onset:] += delta
+        samples = level * np.sin(2 * np.pi * 60.0 * np.arange(n) / 6000.0)
+        samples += noise * rng.standard_normal(n)
+        events, verdicts = detect(SampleStream(samples, 6000.0), cfg)
+
+        for factor in (2.0, 0.5, -1.0):
+            scaled_events, scaled = detect(SampleStream(factor * samples, 6000.0), cfg)
+            assert scaled_events.tobytes() == events.tobytes(), factor
+            for name in ("window_start", "is_event", "first_outlier_block", "selected_bin"):
+                assert getattr(scaled, name).tobytes() == getattr(verdicts, name).tobytes()
+            for name in ("delta_p", "q1", "q3", "lo", "hi"):
+                want = abs(factor) * getattr(verdicts, name)
+                assert getattr(scaled, name).tobytes() == want.tobytes(), (factor, name)
+
+        prepended = np.concatenate([rng.standard_normal(step), samples])
+        _, shifted = detect(SampleStream(prepended, 6000.0), cfg)
+        assert len(shifted) == len(verdicts) + 1
+        want = verdicts.copy()
+        want.window_start += step
+        assert shifted[1:].tobytes() == want.tobytes()
+
+    check()
+
+
 def test_many_threads_with_fast_switching_write_every_row_once(monkeypatch):
     spec = SyntheticSpec(duration_s=60.0, noise_std_a=0.01, seed=4,
                          events=((5.0, 1.0), (21.0, -0.6), (40.0, 0.4)))
@@ -476,10 +515,10 @@ def test_worker_failure_surfaces_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(detector, "_workers", lambda: 2)
     calls = itertools.count()
 
-    def failing(blocks, **kwargs):
+    def failing(blocks):
         if next(calls) >= 2:  # a later chunk
             raise MemoryError("cannot allocate the spectra")
-        return spectrogram(blocks, **kwargs)
+        return spectrogram(blocks)
 
     monkeypatch.setattr(detector, "spectrogram", failing)
     before = threading.active_count()
@@ -508,12 +547,12 @@ def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, 
     caller = threading.get_ident()
     calls = itertools.count()
 
-    def spectrogram_failing_on_one_thread(blocks, **kwargs):
+    def spectrogram_failing_on_one_thread(blocks):
         next(calls)
         if (threading.get_ident() == caller) == (failing == "caller"):
             raise MemoryError(f"no spectra on the {failing} thread")
         time.sleep(0.05)  # the failing thread has time to take a chunk
-        return spectrogram(blocks, **kwargs)
+        return spectrogram(blocks)
 
     monkeypatch.setattr(detector, "spectrogram", spectrogram_failing_on_one_thread)
     before = threading.active_count()
@@ -524,12 +563,11 @@ def test_failure_on_the_caller_or_a_pool_thread_stops_every_thread(monkeypatch, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("chunk", [1, 3, detector.CHUNK_WINDOWS])
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("step", [6016, 128, 1000])
 def test_file_mapped_stream_matches_its_in_memory_copy(tmp_path, monkeypatch, step, chunk,
                                                        workers):
-    """Released chunks and sub-batches read back the same bytes, whichever drops
-    which pages, for each FFT sub-batch size."""
+    """Released chunks read back the same bytes, whichever drops which pages."""
     monkeypatch.setattr(detector, "CHUNK_WINDOWS", chunk)
     monkeypatch.setattr(detector, "_workers", lambda: workers)
     path = tmp_path / "wave.f64"
@@ -541,11 +579,9 @@ def test_file_mapped_stream_matches_its_in_memory_copy(tmp_path, monkeypatch, st
     cfg = DetectorConfig(step=step)
     want_events, want_verdicts = detect(in_memory, cfg)
     assert len(want_events) > 0
-    for batch in FFT_BATCHES:
-        monkeypatch.setattr(detector, "FFT_WINDOWS", batch)
-        events, verdicts = detect(mapped, cfg)
-        assert events.tobytes() == want_events.tobytes(), batch
-        assert verdicts.tobytes() == want_verdicts.tobytes(), batch
+    events, verdicts = detect(mapped, cfg)
+    assert events.tobytes() == want_events.tobytes()
+    assert verdicts.tobytes() == want_verdicts.tobytes()
 
 
 def _status_has(key: str) -> bool:
@@ -601,8 +637,8 @@ def _peak_kib(*args, script=_PEAK_OF_DETECT) -> int:
 def mapped_waves(tmp_path_factory):
     """5 and 20 min raw-f64le streams by minutes; the 20 min file is 57.6 MB.
 
-    Both are longer than the ``CHUNK_WINDOWS`` windows in flight (256 windows,
-    4.3 min), so both hold a full set of chunks.
+    Both are longer than the ``CHUNK_WINDOWS`` windows in flight (64 windows,
+    1.1 min), so both hold a full set of chunks.
     """
     paths = {}
     for minutes in (5, 20):
@@ -623,10 +659,9 @@ def test_detect_peak_memory_does_not_grow_with_a_mapped_streams_length(mapped_wa
 def test_detect_peaks_less_than_20_mib_above_its_imports(mapped_waves):
     """What detect adds on a 20 min mapped stream is its working set, in fresh processes.
 
-    That is the chunks' magnitude buffers (256 windows, 6.3 MB over all
-    threads) plus, per thread, one ``FFT_WINDOWS`` sub-batch's samples and
-    complex spectra, and the verdicts; not the file, nor whole chunks of
-    samples and spectra.
+    That is the ``CHUNK_WINDOWS`` windows in flight over all threads (64
+    windows: their samples, complex spectra and magnitudes, under 8 MB) and
+    the verdicts; not the file.
     """
     imports, peak = _peak_kib(), _peak_kib(mapped_waves[20])
     assert peak - imports < 20 * 1024, f"peak KiB {peak}, imports alone {imports}"

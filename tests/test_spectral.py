@@ -107,26 +107,6 @@ def test_spectrogram_requires_2d():
         spectrogram(np.zeros(128))
 
 
-def test_spectrogram_into_out_returns_out_with_the_same_bytes():
-    blocks = np.random.default_rng(11).standard_normal((3 * 47, 128))
-    buffer = np.full((3, 47, 65), np.nan)
-    out = buffer[1:].reshape(-1, 65)  # a view into a larger buffer, as detect passes
-    assert spectrogram(blocks[47:], out=out) is out
-    assert out.tobytes() == spectrogram(blocks[47:]).tobytes()
-    assert np.isnan(buffer[0]).all()  # nothing written outside out
-    stacked = blocks.reshape(3, 47, 128)
-    into = np.empty((3, 47, 65))
-    assert magnitude_spectrum(stacked, out=into) is into
-    assert into.tobytes() == magnitude_spectrum(stacked).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(47, 64), (46, 65), (2, 47, 65), (65,)])
-def test_spectrogram_rejects_an_out_of_another_shape(shape):
-    """Even a shape the magnitudes would broadcast into."""
-    with pytest.raises(ValueError, match="out has shape"):
-        spectrogram(np.zeros((47, 128)), out=np.empty(shape))
-
-
 def test_parseval_energy_identity():
     rng = np.random.default_rng(12)
     for n in (8, 16, 64, 256, 1024):
