@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -50,7 +51,7 @@ class RunConfig:
     rate: float = 6000.0
     decimate: int = 1
     window: int = DetectorConfig.window_len
-    step: int = DetectorConfig.step
+    step: int | None = None  # None: the window length, so windows sit back to back
     block: int = DetectorConfig.block_len
     k: float = DetectorConfig.k
     std_window: int = DetectorConfig.std_window
@@ -60,6 +61,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        if self.step is None:
+            object.__setattr__(self, "step", self.window)
         for key, kind in _COERCE.items():
             value = getattr(self, key)
             if value is None and key == "tolerance":
@@ -92,12 +95,13 @@ class RunConfig:
 
     @property
     def detector(self) -> DetectorConfig:
-        """The detector settings; ``CliError`` when the geometry, k or std_window is bad."""
+        """The detector settings; ``CliError``, naming the keys, when the geometry, k or
+        std_window is bad."""
         try:
             return DetectorConfig(window_len=self.window, step=self.step, block_len=self.block,
                                   k=self.k, std_window=self.std_window)
         except ValueError as exc:
-            raise CliError(str(exc)) from exc
+            raise CliError(re.sub(r"\b(window|block)_len\b", r"\1", str(exc))) from exc
 
     @property
     def tolerance_s(self) -> float:
@@ -394,7 +398,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         stream = _load(rc)
         truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
 
-        text = ("# config: " + json.dumps(asdict(rc)) + "\n"
+        # sweep reads no seed, so a config file's seed is not echoed
+        config = {key: value for key, value in asdict(rc).items() if key != "seed"}
+        text = ("# config: " + json.dumps(config) + "\n"
                 "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms\n")
         for value, cfg in zip(values, configs):
             started = time.perf_counter()
@@ -415,7 +421,8 @@ _FLAGS = {
     "rate": dict(type=float, help="sample rate in Hz (default 6000)"),
     "decimate": dict(type=int, help="keep every n-th sample before detection (default 1)"),
     "window": dict(type=int, help="analysis window length in samples (default 6016)"),
-    "step": dict(type=int, help="window step in samples (default 6016, non-overlapping)"),
+    "step": dict(type=int, help="window step in samples, a block multiple no longer than "
+                                  "the window (default: the window length)"),
     "block": dict(type=int, help="FFT block length in samples (default 128)"),
     "k": dict(type=float, help="Tukey fence constant (default 0.5)"),
     "std-window": dict(type=int, help="forward standard deviation width in blocks (default 4)"),

@@ -44,16 +44,20 @@ CHUNK_WINDOWS = 64
 class DetectorConfig:
     """Window geometry in samples, the Tukey constant and the deviation width in blocks.
 
-    block_len, the FFT length, is a power of two that divides window_len.
+    block_len, the FFT length, is a power of two that divides window_len. The
+    step is a multiple of block_len no longer than window_len, so the windows
+    tile or overlap the stream on one block grid; it defaults to window_len.
     """
 
     window_len: int = 6016
-    step: int = 6016
+    step: int | None = None
     block_len: int = 128
     k: float = 0.5
     std_window: int = 4
 
     def __post_init__(self) -> None:
+        if self.step is None:  # windows back to back
+            object.__setattr__(self, "step", self.window_len)
         if self.window_len < 1 or self.step < 1 or self.block_len < 1:
             raise ValueError("window_len, step and block_len must be positive")
         limit = np.iinfo(np.int64).max  # sample indices are int64
@@ -66,6 +70,9 @@ class DetectorConfig:
             raise ValueError(
                 f"block_len {self.block_len} does not divide window_len {self.window_len}"
             )
+        if self.step % self.block_len != 0 or self.step > self.window_len:
+            raise ValueError(f"step must be a multiple of block_len {self.block_len} and at "
+                             f"most window_len {self.window_len}, got {self.step}")
         if not (math.isfinite(self.k) and self.k >= 0):
             raise ValueError("k must be finite and nonnegative")
         if self.std_window < 2:
@@ -184,19 +191,17 @@ def _workers() -> int:
 def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> None:
     """Run the stages over the windows starting at ``rows.window_start``, one verdict row each.
 
-    The chunk's blocks are a view of the samples when windows sit back to
-    back (step equal to the window length) and a concatenated copy
-    otherwise; they are transformed at once, and the per-window stages run
-    once over the whole chunk.
+    The chunk's span, from its first window's start to its last window's end,
+    is cut into blocks on the stream's block grid and each block is
+    transformed once; window ``w`` is then ``blocks_per_window`` rows of
+    those spectra from row ``w * step / block_len`` on, a view, and the
+    per-window stages run once over the whole chunk.
     """
-    starts = rows.window_start.tolist()
-    if cfg.step == cfg.window_len:
-        span = samples[starts[0]:starts[-1] + cfg.window_len]
-        blocks = to_block_matrix(Window(starts[0], span), cfg.block_len)
-    else:
-        blocks = np.concatenate([to_block_matrix(Window(s, samples[s:s + cfg.window_len]),
-                                                 cfg.block_len) for s in starts])
-    spec = spectrogram(blocks).reshape(len(starts), cfg.blocks_per_window, -1)
+    first, last = rows.window_start[[0, -1]].tolist()
+    span = samples[first:last + cfg.window_len]
+    spec = spectrogram(to_block_matrix(Window(first, span), cfg.block_len))
+    spec = np.lib.stride_tricks.sliding_window_view(spec, cfg.blocks_per_window, axis=0)
+    spec = spec[::cfg.step // cfg.block_len].swapaxes(1, 2)  # (windows, blocks, bins)
     rows.selected_bin, rows.delta_p, _ = select_bin(spec)
     sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
     rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)

@@ -157,6 +157,60 @@ def test_bad_geometry_rejected_before_loading(tmp_path, capsys, command, setting
     assert "error:" in capsys.readouterr().err
 
 
+_SETTING_ERRORS = [
+    (("--window", str(2**64)), f"window must be at most {2**63 - 1}, got {2**64}"),
+    (("--window", "3000"), "block 128 does not divide window 3000"),
+    (("--window", "64"), "block 128 does not divide window 64"),
+    (("--block", str(2**64)), f"block must be at most {2**63 - 1}, got {2**64}"),
+    (("--block", "100"), "block must be a power of two >= 2, got 100"),
+    (("--block", "256", "--window", "3200"), "block 256 does not divide window 3200"),
+    (("--step", "3008"), "step must be a multiple of block 128 and at most window 6016, got 3008"),
+    (("--step", "6144"), "step must be a multiple of block 128 and at most window 6016, got 6144"),
+    (("--std-window", "48"), "std_window cannot exceed the number of blocks per window"),
+]
+
+
+@pytest.mark.parametrize("setting, message", _SETTING_ERRORS,
+                         ids=[" ".join(setting) for setting, _ in _SETTING_ERRORS])
+def test_setting_errors_name_the_cli_keys(tmp_path, capsys, setting, message):
+    argv = ["detect", "--input", str(tmp_path / "missing.f64"), "--format", "raw-f64le",
+            "--out", str(tmp_path / "events.jsonl"), *setting]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# a step off the block grid, and one that leaves gaps between windows
+_OFF_GRID_STEPS = [{"step": 3008}, {"window": 3008, "block": 64, "step": 6016}]
+
+
+@pytest.mark.parametrize("geometry", _OFF_GRID_STEPS, ids=["unaligned", "gapped"])
+@pytest.mark.parametrize("command", ["detect", "sweep", "sweep-values", "eval"])
+def test_steps_off_the_block_grid_exit_2_before_loading(tmp_path, capsys, command, geometry):
+    # the inputs do not exist (for eval, the truth): the step error must win over a read error
+    missing = [str(tmp_path / "missing.f64"), "--format", "raw-f64le"]
+    shape = [text for key, value in geometry.items() if key != "step"
+             for text in (f"--{key}", str(value))]
+    step = ["--step", str(geometry["step"])]
+    truth = ["--truth", str(tmp_path / "missing.csv")]
+    if command == "detect":
+        argv = ["detect", "--input", *missing, *shape, *step]
+    elif command == "sweep":
+        argv = ["sweep", "--input", *missing, *truth, *shape, *step,
+                "--param", "k", "--values", "0.5"]
+    elif command == "sweep-values":  # the step comes from --values, after a good one
+        argv = ["sweep", "--input", *missing, *truth, *shape, "--param", "step",
+                "--values", f"{geometry.get('block', 128)},{geometry['step']}"]
+    else:  # the step comes from the events file's header
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"config": geometry}) + "\n")
+        argv = ["eval", "--input", str(events), *truth]
+    assert cli.main([*argv, "--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step must be a multiple of block ") and err.count("\n") == 1
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("setting", [("--rate", "nan"), ("--rate", "inf"), ("--rate", "0"),
                                      ("--rate", "-6000"), ("--decimate", "0"),
                                      ("--decimate", "-1"), ("--window", "0"),
@@ -244,7 +298,7 @@ def test_overlapping_windows_give_ascending_events(tmp_path, seed, block, blocks
     wave, truth = _synth(tmp_path, seed=seed, events=("1.5:0.8", "3.0:-0.8"),
                          extra=("--duration", "4", "--noise-std", "0.05"))
     window = block * blocks
-    step = max(1, int(window * step_share))
+    step = block * max(1, int(blocks * step_share))  # whole blocks
     geometry = ["--window", str(window), "--step", str(step), "--block", str(block)]
     events = _detect(wave, tmp_path / "events.jsonl", extra=geometry)
     indices = [row["sample_index"] for row in _event_lines(events)]
@@ -402,18 +456,33 @@ def test_sweep_rows_and_monotone_work(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--input", str(wave), "--format", "raw-f64le",
                    "--truth", str(truth), "--param", "step",
-                   "--values", "6016,3008,1504", "--out", str(out)])
+                   "--values", "6016,3072,1536", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# config:")
     assert lines[1] == "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms"
     rows = lines[2:]
     assert len(rows) == 3
-    assert [r.split(",")[0] for r in rows] == ["6016", "3008", "1504"]
+    assert [r.split(",")[0] for r in rows] == ["6016", "3072", "1536"]
     # smaller steps process more windows
     n = 60000
-    counts = [(n - 6016) // step + 1 for step in (6016, 3008, 1504)]
+    counts = [(n - 6016) // step + 1 for step in (6016, 3072, 1536)]
     assert counts == sorted(counts)
+
+
+def test_sweep_config_line_is_pinned_and_echoes_no_seed(tmp_path, monkeypatch):
+    _synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        "format = raw-f64le\nwindow = 3072\nseed = 5\ntolerance = 0.25\n")
+    assert cli.main(["sweep", "--input", "wave.f64", "--truth", "wave.truth.csv",
+                     "--config", "run.conf", "--param", "k", "--values", "0.5",
+                     "--out", "sweep.csv"]) == 0
+    # every setting but the seed, which sweep does not read; the step follows the window
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == (
+        '# config: {"input": "wave.f64", "format": "raw-f64le", "rate": 6000.0, '
+        '"decimate": 1, "window": 3072, "step": 3072, "block": 128, "k": 0.5, '
+        '"std_window": 4, "truth": "wave.truth.csv", "tolerance": 0.25, "out": "sweep.csv"}')
 
 
 def test_sweep_single_value_matches_eval(tmp_path, capsys):
@@ -853,23 +922,24 @@ def test_read_rows_by_column_matches_the_row_by_row_check(tmp_path, lines):
         assert cli._read_rows(str(path), cli._VERDICT_KEYS) == want
 
 
-# the exact {"config": ...} line: key order, value types and bytes are part of the output
+# the exact {"config": ...} line: key order, value types and bytes are part of the output;
+# the step follows the window
 _ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
-         '"window": %d, "step": 6016, "block": %d, "k": %s, "std_window": 4, '
+         '"window": %d, "step": %d, "block": %d, "k": %s, "std_window": 4, '
          '"truth": %s, "tolerance": %s, "seed": 0, "out": %s}}')
 # detect's header echoes only the settings detect reads: no truth, tolerance or seed
 _DETECT_ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
-                '"window": %d, "step": 6016, "block": %d, "k": %s, "std_window": 4, '
+                '"window": %d, "step": %d, "block": %d, "k": %s, "std_window": 4, '
                 '"out": "events.jsonl"}}')
 
 
 @pytest.mark.parametrize("argv, header", [
     (["--input", "wave.f64", "--format", "raw-f64le"],
-     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 6016, 128, "0.5")),
+     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 6016, 6016, 128, "0.5")),
     (["--input", "phases.csv", "--bled-layout", "b"],
-     _DETECT_ECHO % ("phases.csv", "csv", "12000.0", 2, 6016, 128, "0.5")),
+     _DETECT_ECHO % ("phases.csv", "csv", "12000.0", 2, 6016, 6016, 128, "0.5")),
     (["--input", "wave.f64", "--config", "run.conf", "--k", "1.5"],
-     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 3008, 64, "1.5")),
+     _DETECT_ECHO % ("wave.f64", "raw-f64le", "6000.0", 1, 3008, 3008, 64, "1.5")),
 ], ids=["defaults", "bled-layout", "config-and-flag"])
 def test_detect_header_line_is_pinned(tmp_path, monkeypatch, argv, header):
     import numpy as np
@@ -899,7 +969,7 @@ def test_eval_config_echo_filled_from_the_events_header_is_pinned(tmp_path, monk
     capsys.readouterr()
     assert cli.main(["eval", "--input", "events.jsonl", "--truth", "wave.truth.csv"]) == 0
     # the detector settings, rate and decimate from the header; the rest are eval's own
-    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 64, "0.5",
+    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 3008, 64, "0.5",
                     '"wave.truth.csv"', "null", "null")
     assert capsys.readouterr().out.endswith(', "config": %s}\n' % echo[len('{"config": '):-1])
 

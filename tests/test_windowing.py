@@ -30,7 +30,7 @@ def test_window_count_formula():
     rng = np.random.default_rng(11)
     for _ in range(30):
         n = int(rng.integers(0, 40000))
-        step = int(rng.integers(1, 8000))
+        step = 128 * int(rng.integers(1, 48))  # a whole number of blocks within the window
         cfg = DetectorConfig(step=step)
         expected = (n - 6016) // step + 1 if n >= 6016 else 0
         assert len(windows(_stream(n), cfg)) == expected
@@ -72,7 +72,7 @@ def test_block_matrix_flatten_is_lossless():
 
 def test_windows_deterministic_order():
     stream = _stream(30000)
-    cfg = DetectorConfig(step=1504)
+    cfg = DetectorConfig(step=1536)
     first = windows(stream, cfg)
     second = windows(stream, cfg)
     assert first.tolist() == second.tolist()
@@ -90,6 +90,19 @@ def test_config_rejects_non_power_of_two_block():
         with pytest.raises(ValueError):
             DetectorConfig(window_len=block_len * 64, step=block_len * 64,
                            block_len=block_len)
+
+
+@pytest.mark.parametrize("step", [1, 127, 3008, 6016 + 128, 12032])
+def test_config_rejects_steps_off_the_block_grid_or_past_the_window(step):
+    with pytest.raises(ValueError, match=f"step must be a multiple of block_len 128 and at "
+                                         f"most window_len 6016, got {step}"):
+        DetectorConfig(step=step)
+
+
+def test_step_defaults_to_the_window_length():
+    assert DetectorConfig().step == 6016
+    assert DetectorConfig(window_len=3072).step == 3072
+    assert DetectorConfig(window_len=3072, step=128).step == 128
 
 
 def test_config_rejects_nonpositive_fields():
