@@ -31,7 +31,7 @@ from .signal_io import (
     write_ground_truth,
     write_waveform,
 )
-from .spectral import magnitude_spectrum, spectrogram
+from .spectral import spectrogram
 from .windowing import Window, to_block_matrix, windows
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "extract_series",
     "forward_std",
     "generate_synthetic",
-    "magnitude_spectrum",
     "match_events",
     "metrics_from_counts",
     "quantile",

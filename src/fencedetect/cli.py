@@ -180,9 +180,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not rc.input:
         raise CliError("detect needs --input")
     cfg = rc.detector
-    # the settings detect reads; a config file's truth, tolerance and seed are not echoed
-    header = json.dumps({"config": {key: value for key, value in asdict(rc).items()
-                                    if key not in ("truth", "tolerance", "seed")}}) + "\n"
+    header = json.dumps({"config": _echo(args, rc)}) + "\n"
     with replaced_at_end(rc.out or None, args.verdicts or None) as (out, sidecar):
         events, verdicts = detect(_load(rc, _BLED_COLUMNS.get(args.bled_layout)), cfg)
         for fh, rows, to_text in [(out or sys.stdout, events, _event_rows),
@@ -303,8 +301,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with replaced_at_end(rc.out or None) as (out,):
         header, events = _read_rows(rc.input, _EVENT_KEYS)
         # the settings detect ran with, unless a flag or the config file says otherwise
-        ran = {key: header[key] for key in ("window", "step", "block", "k", "std_window", "rate",
-                                            "decimate") if key in header}
+        ran = {key: header[key] for key in _DETECTOR_FLAGS.split() if key in header}
         try:
             rc = RunConfig(**{**ran, **given})
         except CliError as exc:
@@ -318,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             tn = count_tn(verdicts["window_start"], verdicts["is_event"], truth_s, rc.tolerance_s,
                           window_len=rc.window, sample_rate_hz=rc.rate / rc.decimate)
         text = json.dumps({**metrics_from_counts(match.tp, match.fp, match.fn, tn),
-                           "tolerance_s": rc.tolerance_s, "config": asdict(rc)})
+                           "tolerance_s": rc.tolerance_s, "config": _echo(args, rc)})
         print(text)
         if out is not None:
             out.write(text + "\n")
@@ -398,9 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         stream = _load(rc)
         truth_s = [t.time_s for t in read_ground_truth(rc.truth)]
 
-        # sweep reads no seed, so a config file's seed is not echoed
-        config = {key: value for key, value in asdict(rc).items() if key != "seed"}
-        text = ("# config: " + json.dumps(config) + "\n"
+        text = ("# config: " + json.dumps(_echo(args, rc)) + "\n"
                 "value,tp,fp,fn,precision,recall,f_measure,wall_time_ms\n")
         for value, cfg in zip(values, configs):
             started = time.perf_counter()
@@ -414,54 +409,68 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# each flag's argparse options; a subcommand's parser gets only the flags it reads
+# each flag's argparse options, by setting name; _options adds a RunConfig key's type and default
 _FLAGS = {
     "input": dict(help="input file: a waveform, or for eval a detect events file"),
-    "format": dict(choices=list(FORMATS), help="waveform file format (default csv)"),
-    "rate": dict(type=float, help="sample rate in Hz (default 6000)"),
-    "decimate": dict(type=int, help="keep every n-th sample before detection (default 1)"),
-    "window": dict(type=int, help="analysis window length in samples (default 6016)"),
-    "step": dict(type=int, help="window step in samples, a block multiple no longer than "
-                                  "the window (default: the window length)"),
-    "block": dict(type=int, help="FFT block length in samples (default 128)"),
-    "k": dict(type=float, help="Tukey fence constant (default 0.5)"),
-    "std-window": dict(type=int, help="forward standard deviation width in blocks (default 4)"),
+    "format": dict(choices=list(FORMATS), help="waveform file format"),
+    "rate": dict(help="sample rate in Hz"),
+    "decimate": dict(help="keep every n-th sample before detection"),
+    "window": dict(help="analysis window length in samples"),
+    "step": dict(help="window step in samples, a block multiple no longer than the window "
+                      "(default: the window length)"),
+    "block": dict(help="FFT block length in samples"),
+    "k": dict(help="Tukey fence constant"),
+    "std_window": dict(help="forward standard deviation width in blocks"),
     "truth": dict(help="ground-truth csv (time_s[,label]); synth writes it, the others read it"),
-    "tolerance": dict(type=float, help="match tolerance in seconds (default: one window)"),
-    "seed": dict(type=int, help="generator seed (default 0)"),
+    "tolerance": dict(help="match tolerance in seconds (default: one window)"),
+    "seed": dict(help="generator seed"),
     "out": dict(help="output path (synth: the raw-f64le waveform; else default standard output)"),
     "config": dict(help="key = value config file; flags win"),
-    "bled-layout": dict(choices=sorted(_BLED_COLUMNS),
+    "bled_layout": dict(choices=sorted(_BLED_COLUMNS),
                         help="input is a two-current-channel csv export (time, current a, "
                              "current b, voltage); picks the phase column and defaults to "
                              "12 kHz decimated by 2"),
     "verdicts": dict(help="per-window verdicts file: detect writes it, eval counts TN from it"),
     "duration": dict(type=float, help="length in seconds"),
-    "mains-hz": dict(type=float, default=60.0),
-    "base-amplitude": dict(type=float, default=1.0),
-    "noise-std": dict(type=float, default=0.0),
+    "mains_hz": dict(type=float, default=SyntheticSpec.mains_hz),
+    "base_amplitude": dict(type=float, default=SyntheticSpec.base_amplitude_a),
+    "noise_std": dict(type=float, default=SyntheticSpec.noise_std_a),
     "event": dict(action="append", help="TIME:DELTA[:ORDERxFRAC,...], repeatable"),
-    "drift-depth": dict(type=float, default=0.0,
-                        help="triangle amplitude modulation depth (default 0)"),
-    "drift-period": dict(type=float, default=10.0, help="triangle modulation period in seconds"),
+    "drift_depth": dict(type=float, default=SyntheticSpec.drift_depth,
+                        help="triangle amplitude modulation depth (default %(default)g)"),
+    "drift_period": dict(type=float, default=SyntheticSpec.drift_period_s,
+                         help="triangle modulation period in seconds"),
     "param": dict(required=True, choices=["k", "std_window", "step"],
                   help="which parameter to sweep"),
     "values": dict(required=True, help="comma-separated parameter values"),
 }
 
-_DETECTOR_FLAGS = "rate decimate window step block k std-window"
-# each subcommand's function, help and the flags it reads
+_DETECTOR_FLAGS = "rate decimate window step block k std_window"
+# each subcommand's function, help and the flags it reads: the settings it echoes
 _COMMANDS = {
     "detect": (cmd_detect, "find events in a waveform, write JSON lines",
-               f"input format {_DETECTOR_FLAGS} out config bled-layout verdicts"),
+               f"input format {_DETECTOR_FLAGS} out config bled_layout verdicts"),
     "synth": (cmd_synth, "generate a seeded test waveform + ground truth",
-              "rate seed truth out config duration mains-hz base-amplitude noise-std event "
-              "drift-depth drift-period"),
+              "rate seed truth out config duration mains_hz base_amplitude noise_std event "
+              "drift_depth drift_period"),
     "eval": (cmd_eval, "score an events file against ground truth",
              f"input truth tolerance {_DETECTOR_FLAGS} out config verdicts"),
     "sweep": (cmd_sweep, "re-run detection across parameter values",
               f"input format truth tolerance {_DETECTOR_FLAGS} out config param values"),
 }
+
+
+def _echo(args: argparse.Namespace, rc: RunConfig) -> dict:
+    """The ``{"config": ...}`` echo: the settings of the flags the command has, in field order."""
+    return {key: value for key, value in asdict(rc).items() if key in vars(args)}
+
+
+def _options(flag: str) -> dict:
+    """``flag``'s argparse options, with a RunConfig key's type and default filled in."""
+    options = {"type": _COERCE.get(flag), **_FLAGS[flag]}  # type None: the text as given
+    if (default := getattr(RunConfig, flag, None)) is not None:  # 6000.0 shows as 6000
+        options["help"] += f" (default {str(default).removesuffix('.0')})"
+    return options
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -477,7 +486,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         command.set_defaults(func=func)
         if name == invoked:
             for flag in flags.split():
-                command.add_argument(f"--{flag}", **_FLAGS[flag])
+                command.add_argument("--" + flag.replace("_", "-"), **_options(flag))
     return parser
 
 

@@ -13,22 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def magnitude_spectrum(block: np.ndarray) -> np.ndarray:
-    """Magnitudes of the first N/2 + 1 FFT bins (DC through Nyquist).
-
-    Real input makes the upper half of the spectrum redundant by conjugate
-    symmetry, so only these bins carry information and only these are
-    computed.
-    """
-    return np.abs(np.fft.rfft(block))
-
-
 def spectrogram(matrix: np.ndarray) -> np.ndarray:
-    """Per-row magnitude spectra of a block matrix.
+    """Per-row magnitudes of a block matrix's first N/2 + 1 FFT bins (DC through Nyquist).
 
-    A (blocks, block_len) input yields (blocks, block_len/2 + 1).
+    A (blocks, block_len) input yields (blocks, block_len/2 + 1). Real input
+    makes the upper half of each spectrum redundant by conjugate symmetry, so
+    only these bins carry information and only these are computed.
     """
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D block matrix, got shape {m.shape}")
-    return magnitude_spectrum(m)
+    return np.abs(np.fft.rfft(m))

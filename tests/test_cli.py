@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -922,11 +923,11 @@ def test_read_rows_by_column_matches_the_row_by_row_check(tmp_path, lines):
         assert cli._read_rows(str(path), cli._VERDICT_KEYS) == want
 
 
-# the exact {"config": ...} line: key order, value types and bytes are part of the output;
-# the step follows the window
-_ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
+# eval's exact {"config": ...} echo: key order, value types and bytes are part of the output;
+# the step follows the window, and eval reads no format and no seed
+_ECHO = ('{"config": {"input": "%s", "rate": %s, "decimate": %d, '
          '"window": %d, "step": %d, "block": %d, "k": %s, "std_window": 4, '
-         '"truth": %s, "tolerance": %s, "seed": 0, "out": %s}}')
+         '"truth": %s, "tolerance": %s, "out": %s}}')
 # detect's header echoes only the settings detect reads: no truth, tolerance or seed
 _DETECT_ECHO = ('{"config": {"input": "%s", "format": "%s", "rate": %s, "decimate": %d, '
                 '"window": %d, "step": %d, "block": %d, "k": %s, "std_window": 4, '
@@ -969,9 +970,38 @@ def test_eval_config_echo_filled_from_the_events_header_is_pinned(tmp_path, monk
     capsys.readouterr()
     assert cli.main(["eval", "--input", "events.jsonl", "--truth", "wave.truth.csv"]) == 0
     # the detector settings, rate and decimate from the header; the rest are eval's own
-    echo = _ECHO % ("events.jsonl", "csv", "12000.0", 2, 3008, 3008, 64, "0.5",
+    echo = _ECHO % ("events.jsonl", "12000.0", 2, 3008, 3008, 64, "0.5",
                     '"wave.truth.csv"', "null", "null")
     assert capsys.readouterr().out.endswith(', "config": %s}\n' % echo[len('{"config": '):-1])
+
+
+@pytest.mark.parametrize("command", ["detect", "eval", "sweep"])
+def test_config_echo_is_the_settings_the_command_reads_in_field_order(tmp_path, monkeypatch,
+                                                                     capsys, command):
+    _synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _detect("wave.f64", "events.jsonl")
+    capsys.readouterr()
+    # a config file that sets every key, those the command does not read among them
+    (tmp_path / "run.conf").write_text(
+        "format = raw-f64le\nrate = 6000\ndecimate = 1\nwindow = 6016\nstep = 3072\n"
+        "block = 128\nk = 0.75\nstd_window = 4\ntruth = wave.truth.csv\ntolerance = 0.5\n"
+        "seed = 5\nout = out.txt\n")
+    argv = [command, "--input", "events.jsonl" if command == "eval" else "wave.f64",
+            "--config", "run.conf"]
+    if command == "sweep":
+        argv += ["--param", "k", "--values", "0.5"]
+    assert cli.main(argv) == 0
+    if command == "eval":
+        echo = json.loads(capsys.readouterr().out)["config"]
+    else:
+        echo = json.loads((tmp_path / "out.txt").read_text().splitlines()[0]
+                          .removeprefix("# config: "))
+        echo = echo.get("config", echo)
+    # the flags the command takes (test_each_command_takes_only_the_flags_it_reads), by key
+    reads = {flag[2:].replace("-", "_") for flag in _FLAGS_READ[command]}
+    assert list(echo) == [f.name for f in dataclasses.fields(cli.RunConfig) if f.name in reads]
+    assert "seed" not in echo and echo["k"] == 0.75 and echo["step"] == 3072
 
 
 @pytest.mark.parametrize("flag", [("--step", "0"), ("--block", "3"), ("--std-window", "48")])
