@@ -11,6 +11,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .detector import CHUNK_WINDOWS, DetectorConfig, detect
 from .evaluation import count_tn, match_events, metrics_from_counts
@@ -48,7 +49,7 @@ class RunConfig:
 
     input: str | None = None
     format: str = "csv"
-    rate: float = 6000.0
+    rate: float = SyntheticSpec.sample_rate_hz
     decimate: int = 1
     window: int = DetectorConfig.window_len
     step: int | None = None  # None: the window length, so windows sit back to back
@@ -57,7 +58,7 @@ class RunConfig:
     std_window: int = DetectorConfig.std_window
     truth: str | None = None
     tolerance: float | None = None
-    seed: int = 0
+    seed: int = SyntheticSpec.seed
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -111,7 +112,10 @@ class RunConfig:
         return self.tolerance
 
 
+# a two-current-channel csv export: its phase column by --bled-layout, and the settings it
+# defaults to (12 kHz, halved to 6 kHz) unless a flag or the config file says otherwise
 _BLED_COLUMNS = {"a": 1, "b": 2}
+_BLED = {"format": "csv", "rate": 12000.0, "decimate": 2}
 
 
 def _parse_config(path: Path) -> dict:
@@ -135,10 +139,16 @@ def _parse_config(path: Path) -> dict:
 
 
 def _given(args: argparse.Namespace) -> dict:
-    """The flags' settings over the config file's; a command merges them over its fallback."""
+    """The flags' settings over the config file's; a command merges them over its fallback.
+
+    ``CliError`` when a setting the command needs is given by neither.
+    """
     given = _parse_config(Path(args.config)) if args.config else {}
     given.update((key, flag) for key, flag in vars(args).items()
                  if key in RunConfig.__dataclass_fields__ and flag is not None)
+    for key in _COMMANDS[args.command][3].split():
+        if {**vars(args), **given}[key] in (None, ""):
+            raise CliError(f"{args.command} needs --{key.replace('_', '-')}")
     return given
 
 
@@ -172,13 +182,9 @@ def _verdict_rows(verdicts) -> str:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    # a two-current-channel csv export is 12 kHz, halved to 6 kHz, unless a setting says otherwise
-    bled = {"format": "csv", "rate": 12000.0, "decimate": 2} if args.bled_layout else {}
-    rc = RunConfig(**{**bled, **_given(args)})
-    if args.bled_layout and rc.format != "csv":
+    rc = RunConfig(**{**(_BLED if args.bled_layout else {}), **_given(args)})
+    if args.bled_layout and rc.format != _BLED["format"]:
         raise CliError(f"--bled-layout reads a csv export, got format {rc.format!r}")
-    if not rc.input:
-        raise CliError("detect needs --input")
     cfg = rc.detector
     header = json.dumps({"config": _echo(args, rc)}) + "\n"
     with replaced_at_end(rc.out or None, args.verdicts or None) as (out, sidecar):
@@ -294,10 +300,6 @@ def _read_rows(path: str, keys: dict[str, str]) -> tuple[dict, dict[str, tuple]]
 def cmd_eval(args: argparse.Namespace) -> int:
     given = _given(args)
     rc = RunConfig(**given)
-    if not rc.input:
-        raise CliError("eval needs --input (a detect events file)")
-    if not rc.truth:
-        raise CliError("eval needs --truth")
     with replaced_at_end(rc.out or None) as (out,):
         header, events = _read_rows(rc.input, _EVENT_KEYS)
         # the settings detect ran with, unless a flag or the config file says otherwise
@@ -343,45 +345,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     rc = RunConfig(**given)
     if given.get("format", "raw-f64le") != "raw-f64le":
         raise CliError(f"synth writes raw-f64le only, got format {rc.format!r}")
-    if args.duration is None:
-        raise CliError("synth needs --duration")
-    if not rc.out:
-        raise CliError("synth needs --out for the waveform (raw-f64le)")
-    if not rc.truth:
-        raise CliError("synth needs --truth for the ground-truth csv")
+    # the flags given over SyntheticSpec's defaults; rate and seed from either source, checked
+    events = tuple(map(_parse_event_flag, args.event or []))
+    values = {**vars(args), **asdict(rc), "events": events}
     try:
-        spec = SyntheticSpec(
-            duration_s=args.duration,
-            mains_hz=args.mains_hz,
-            base_amplitude_a=args.base_amplitude,
-            noise_std_a=args.noise_std,
-            events=tuple(_parse_event_flag(e) for e in (args.event or [])),
-            seed=rc.seed,
-            sample_rate_hz=rc.rate,
-            drift_depth=args.drift_depth,
-            drift_period_s=args.drift_period,
-        )
+        spec = SyntheticSpec(**{field: values[key] for key, field in _SYNTH.items()
+                                if values[key] is not None})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     write_synthetic(spec, rc.out, rc.truth)
     # raw and plain-csv outputs take no header; provenance goes to stdout
-    print(json.dumps({"config": {
-        "duration": spec.duration_s, "rate": spec.sample_rate_hz,
-        "mains_hz": spec.mains_hz, "base_amplitude": spec.base_amplitude_a,
-        "noise_std": spec.noise_std_a, "events": len(spec.events),
-        "seed": spec.seed, "drift_depth": spec.drift_depth,
-        "drift_period": spec.drift_period_s,
-        "out": rc.out, "truth": rc.truth,
-    }}))
+    echo = {key: getattr(spec, field) for key, field in _SYNTH.items()}
+    echo["events"] = len(spec.events)
+    print(json.dumps({"config": {**echo, "out": rc.out, "truth": rc.truth}}))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rc = RunConfig(**_given(args))
-    if not rc.input:
-        raise CliError("sweep needs --input")
-    if not rc.truth:
-        raise CliError("sweep needs --truth")
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise CliError("sweep needs a nonempty --values list")
@@ -409,7 +390,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# each flag's argparse options, by setting name; _options adds a RunConfig key's type and default
+def _shown(value) -> str:
+    """A default as help states it: a whole float without its trailing ".0"."""
+    return str(value).removesuffix(".0")
+
+
+# each synth setting's SyntheticSpec field, in synth's echo order; --event gives the events
+_SYNTH = {"duration": "duration_s", "rate": "sample_rate_hz", "mains_hz": "mains_hz",
+          "base_amplitude": "base_amplitude_a", "noise_std": "noise_std_a", "events": "events",
+          "seed": "seed", "drift_depth": "drift_depth", "drift_period": "drift_period_s"}
+
+# each flag's argparse options, by setting name; _options adds a setting's type and default
 _FLAGS = {
     "input": dict(help="input file: a waveform, or for eval a detect events file"),
     "format": dict(choices=list(FORMATS), help="waveform file format"),
@@ -429,34 +420,35 @@ _FLAGS = {
     "bled_layout": dict(choices=sorted(_BLED_COLUMNS),
                         help="input is a two-current-channel csv export (time, current a, "
                              "current b, voltage); picks the phase column and defaults to "
-                             "12 kHz decimated by 2"),
+                             + ", ".join(f"{key} {_shown(value)}" for key, value in
+                                         _BLED.items())),
     "verdicts": dict(help="per-window verdicts file: detect writes it, eval counts TN from it"),
-    "duration": dict(type=float, help="length in seconds"),
-    "mains_hz": dict(type=float, default=SyntheticSpec.mains_hz),
-    "base_amplitude": dict(type=float, default=SyntheticSpec.base_amplitude_a),
-    "noise_std": dict(type=float, default=SyntheticSpec.noise_std_a),
+    "duration": dict(help="length in seconds"),
+    "mains_hz": dict(help="mains frequency in Hz"),
+    "base_amplitude": dict(help="mains current amplitude in A"),
+    "noise_std": dict(help="standard deviation of the added white noise in A"),
     "event": dict(action="append", help="TIME:DELTA[:ORDERxFRAC,...], repeatable"),
-    "drift_depth": dict(type=float, default=SyntheticSpec.drift_depth,
-                        help="triangle amplitude modulation depth (default %(default)g)"),
-    "drift_period": dict(type=float, default=SyntheticSpec.drift_period_s,
-                         help="triangle modulation period in seconds"),
+    "drift_depth": dict(help="triangle amplitude modulation depth"),
+    "drift_period": dict(help="triangle modulation period in seconds"),
     "param": dict(required=True, choices=["k", "std_window", "step"],
                   help="which parameter to sweep"),
     "values": dict(required=True, help="comma-separated parameter values"),
 }
 
 _DETECTOR_FLAGS = "rate decimate window step block k std_window"
-# each subcommand's function, help and the flags it reads: the settings it echoes
+# each subcommand's function, help, the flags it reads (the settings it echoes) and the
+# settings it needs, from a flag or the config file
 _COMMANDS = {
     "detect": (cmd_detect, "find events in a waveform, write JSON lines",
-               f"input format {_DETECTOR_FLAGS} out config bled_layout verdicts"),
+               f"input format {_DETECTOR_FLAGS} out config bled_layout verdicts", "input"),
     "synth": (cmd_synth, "generate a seeded test waveform + ground truth",
               "rate seed truth out config duration mains_hz base_amplitude noise_std event "
-              "drift_depth drift_period"),
+              "drift_depth drift_period", "duration out truth"),
     "eval": (cmd_eval, "score an events file against ground truth",
-             f"input truth tolerance {_DETECTOR_FLAGS} out config verdicts"),
+             f"input truth tolerance {_DETECTOR_FLAGS} out config verdicts", "input truth"),
     "sweep": (cmd_sweep, "re-run detection across parameter values",
-              f"input format truth tolerance {_DETECTOR_FLAGS} out config param values"),
+              f"input format truth tolerance {_DETECTOR_FLAGS} out config param values",
+              "input truth"),
 }
 
 
@@ -466,10 +458,17 @@ def _echo(args: argparse.Namespace, rc: RunConfig) -> dict:
 
 
 def _options(flag: str) -> dict:
-    """``flag``'s argparse options, with a RunConfig key's type and default filled in."""
-    options = {"type": _COERCE.get(flag), **_FLAGS[flag]}  # type None: the text as given
-    if (default := getattr(RunConfig, flag, None)) is not None:  # 6000.0 shows as 6000
-        options["help"] += f" (default {str(default).removesuffix('.0')})"
+    """``flag``'s argparse options, with its setting's type and default filled in: a RunConfig
+    key's from ``_COERCE`` and RunConfig, any other synth setting's from SyntheticSpec."""
+    if flag in RunConfig.__dataclass_fields__:
+        kind, default = _COERCE.get(flag), getattr(RunConfig, flag)  # None: the text as given
+    elif field := _SYNTH.get(flag):
+        kind, default = get_type_hints(SyntheticSpec)[field], getattr(SyntheticSpec, field, None)
+    else:
+        kind = default = None
+    options = {"type": kind, **_FLAGS[flag]}
+    if default is not None:
+        options["help"] += f" (default {_shown(default)})"
     return options
 
 
@@ -481,7 +480,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-    for name, (func, help_text, flags) in _COMMANDS.items():
+    for name, (func, help_text, flags, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(func=func)
         if name == invoked:

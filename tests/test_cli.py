@@ -117,6 +117,25 @@ def test_synth_writes_one_truth_row_per_event(tmp_path):
     assert len(truth.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("argv, echo", [
+    (["--duration", "3.5", "--rate", "8000", "--mains-hz", "50", "--base-amplitude", "2.5",
+      "--noise-std", "0.02", "--event", "1.25:0.5", "--event", "2.5:-0.5:3x0.2", "--seed", "9",
+      "--drift-depth", "0.05", "--drift-period", "7.5"],
+     '{"config": {"duration": 3.5, "rate": 8000.0, "mains_hz": 50.0, "base_amplitude": 2.5, '
+     '"noise_std": 0.02, "events": 2, "seed": 9, "drift_depth": 0.05, "drift_period": 7.5, '
+     '"out": "w.f64", "truth": "t.csv"}}'),
+    (["--duration", "2", "--config", "run.conf"],
+     '{"config": {"duration": 2.0, "rate": 4000.0, "mains_hz": 60.0, "base_amplitude": 1.0, '
+     '"noise_std": 0.0, "events": 0, "seed": 3, "drift_depth": 0.0, "drift_period": 10.0, '
+     '"out": "w.f64", "truth": "t.csv"}}'),
+], ids=["flags", "config-and-defaults"])
+def test_synth_echo_line_is_pinned(tmp_path, monkeypatch, capsys, argv, echo):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text("rate = 4000\nseed = 3\n")
+    assert cli.main(["synth", *argv, "--out", "w.f64", "--truth", "t.csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == echo
+
+
 def test_detect_zero_event_stream_writes_header_only(tmp_path):
     wave, _ = _synth(tmp_path, events=(),
                      extra=("--noise-std", "0", "--drift-depth", "0"))
@@ -285,6 +304,88 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, monkeypatch, capsy
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# the settings each subcommand cannot run without
+_NEEDED = [("detect", "--input"), ("eval", "--input"), ("eval", "--truth"), ("sweep", "--input"),
+           ("sweep", "--truth"), ("synth", "--duration"), ("synth", "--out"), ("synth", "--truth")]
+
+
+@pytest.mark.parametrize("command, flag", _NEEDED, ids=[" ".join(case) for case in _NEEDED])
+def test_a_needed_setting_left_out_exits_2_naming_it(tmp_path, monkeypatch, capsys, command,
+                                                     flag):
+    monkeypatch.chdir(tmp_path)
+    argv = _RUNNABLE[command]
+    i = argv.index(flag)
+    assert cli.main(argv[:i] + argv[i + 2:]) == 2
+    assert capsys.readouterr().err == f"error: {command} needs {flag}\n"
+    assert list(tmp_path.iterdir()) == []  # no output and no .part file
+
+
+# a config file that gives each subcommand its input, truth and out; the flags the rest
+_NEEDED_FROM_CONFIG = {
+    "detect": ("input = wave.f64\nformat = raw-f64le\nout = e.jsonl\n", []),
+    "eval": ("input = events.jsonl\ntruth = wave.truth.csv\nout = m.json\n", []),
+    "sweep": ("input = wave.f64\nformat = raw-f64le\ntruth = wave.truth.csv\nout = s.csv\n",
+              ["--param", "k", "--values", "0.5"]),
+    "synth": ("out = s.f64\ntruth = s.truth.csv\n", ["--duration", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", _NEEDED_FROM_CONFIG)
+def test_a_config_file_gives_the_needed_settings(tmp_path, monkeypatch, command):
+    _synth(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _detect("wave.f64", "events.jsonl")
+    text, flags = _NEEDED_FROM_CONFIG[command]
+    (tmp_path / "run.conf").write_text(text)
+    assert cli.main([command, "--config", "run.conf", *flags]) == 0
+    out = re.search(r"^out = (.*)$", text, re.M)[1]
+    assert (tmp_path / out).stat().st_size > 0
+
+
+def _help_entries(argv, capsys) -> dict:
+    """Each option's help text in ``argv --help``, on one line, by flag."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    entries = re.findall(r"^  (--[\w-]+) \S+\s+(.*?)(?=^  -|\Z)", capsys.readouterr().out,
+                         re.M | re.S)
+    return {flag: " ".join(text.split()) for flag, text in entries}
+
+
+# each synth flag with a SyntheticSpec default, and its field
+_SPEC_DEFAULTS = {"--rate": "sample_rate_hz", "--seed": "seed", "--mains-hz": "mains_hz",
+                  "--base-amplitude": "base_amplitude_a", "--noise-std": "noise_std_a",
+                  "--drift-depth": "drift_depth", "--drift-period": "drift_period_s"}
+
+
+def test_synth_help_states_each_synthetic_spec_default(capsys):
+    from fencedetect.signal_io import SyntheticSpec
+
+    defaulted = {f.name for f in dataclasses.fields(SyntheticSpec)
+                 if f.default is not dataclasses.MISSING}
+    assert set(_SPEC_DEFAULTS.values()) == defaulted - {"events"}
+    entries = _help_entries(["synth"], capsys)
+    for flag, field in _SPEC_DEFAULTS.items():
+        assert entries[flag].endswith(f"(default {getattr(SyntheticSpec, field):g})"), flag
+    assert "default" not in entries["--duration"]
+
+
+def test_detect_help_names_the_bled_layout_rate_and_decimation(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    monkeypatch.chdir(tmp_path)
+    n = 24000  # 2 s at 12 kHz
+    np.savetxt("phases.csv", np.column_stack([np.arange(n) / 12000.0, np.zeros(n),
+                                              np.sin(np.arange(n) / 10.0), np.full(n, 120.0)]),
+               fmt="%.8g", delimiter=",", header="X_Value,Current_A,Current_B,VoltageA",
+               comments="")
+    assert cli.main(["detect", "--input", "phases.csv", "--bled-layout", "b",
+                     "--out", "events.jsonl"]) == 0
+    applied = json.loads((tmp_path / "events.jsonl").read_text().splitlines()[0])["config"]
+    text = _help_entries(["detect"], capsys)["--bled-layout"]
+    assert f"rate {applied['rate']:g}" in text and f"decimate {applied['decimate']}" in text
 
 
 @settings(max_examples=25, deadline=None,
