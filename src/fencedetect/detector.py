@@ -9,29 +9,31 @@ single timestamped events.
 Each stage accepts one window or a stack of windows along a leading axis and
 returns plain arrays; ``detect`` runs them once per chunk of consecutive
 windows and keeps the per-window outcomes as rows of one numpy record array,
-one field per column. Chunks run on one thread per CPU the process may use,
-the caller included, with no setting; each writes only its own rows, so the
-bytes are the same for any thread count. The chunk size shrinks with the
-thread count, so at most ``CHUNK_WINDOWS`` windows are in flight at once,
-each with its blocks, complex spectra and magnitudes. The samples no later
-chunk reads are released once a chunk is done (``signal_io.release``), so
-a file-mapped stream keeps about a chunk per thread resident, not the
-whole file: on a 1 h raw file ``detect`` peaks about 9 MiB above its
-imports, on one CPU or two.
+one field per column. A stage is a few ufunc calls over the whole stack: its
+sums are ``np.add.reduce`` over the views numpy's ``mean`` and ``std`` would
+sum, so its bits are theirs without their Python wrappers. Chunks run on one
+thread per CPU the process may use, the caller included, with no setting,
+through ``signal_io.drain``, the loop the raw loader's non-finite count also
+runs on; each chunk writes only its own rows, so the bytes are the same for
+any thread count. The chunk size shrinks with the thread count, so at most
+``CHUNK_WINDOWS`` windows are in flight at once, each with its blocks,
+complex spectra and magnitudes. The samples no later chunk reads are
+released once a chunk is done (``signal_io.release``), so a file-mapped
+stream keeps about a chunk per thread resident, not the whole file: on a
+1 h raw file ``detect`` peaks about 9 MiB above its imports on one CPU and
+10 MiB on two.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .signal_io import SampleStream, release
+from .signal_io import SampleStream, _workers, drain, release
 from .spectral import spectrogram
 from .windowing import Window, to_block_matrix, windows
 
@@ -93,16 +95,21 @@ def delta_p(spectrogram_f: np.ndarray) -> np.ndarray:
     The halves take equally many rows from each end; with an odd row count
     the middle row is left out so neither mean is favored. A bin whose
     magnitude jumps partway through the window scores high, a stationary
-    bin scores near zero.
+    bin scores near zero. Each mean is ``.mean(axis=-2)``'s sum over the same
+    rows, divided in place, so the bits are its bits.
     """
     f = np.asarray(spectrogram_f)
     rows = f.shape[-2]
     if rows < 2:
         raise ValueError("need at least 2 spectrogram rows")
     half = rows // 2
-    early = f[..., :half, :].mean(axis=-2)
-    late = f[..., rows - half:, :].mean(axis=-2)
-    return np.abs(early - late)
+    dtype = np.float64 if f.dtype.kind in "biu" else None  # as .mean sums integers
+    early = np.add.reduce(f[..., :half, :], axis=-2, dtype=dtype)
+    late = np.add.reduce(f[..., rows - half:, :], axis=-2, dtype=dtype)
+    early /= half
+    late /= half
+    early -= late
+    return np.abs(early, out=early)
 
 
 def select_bin(spectrogram_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,44 +118,44 @@ def select_bin(spectrogram_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns the selected bin, its gap and every bin's gap.
     """
     gaps = delta_p(spectrogram_f)
-    return np.argmax(gaps, axis=-1), gaps.max(axis=-1), gaps
+    return gaps.argmax(axis=-1), np.maximum.reduce(gaps, axis=-1), gaps
 
 
 def extract_series(spectrogram_f: np.ndarray, selected_bin: int | np.ndarray) -> np.ndarray:
     """Column of the spectrogram at the selected bin (one per window of a stack)."""
     f = np.asarray(spectrogram_f)
     chosen = np.asarray(selected_bin)
-    if np.any((chosen < 0) | (chosen >= f.shape[-1])):
+    if (np.minimum.reduce(chosen, axis=None, initial=0) < 0
+            or np.maximum.reduce(chosen, axis=None, initial=0) >= f.shape[-1]):
         raise ValueError(f"bin {selected_bin} out of range for {f.shape[-1]} bins")
-    return np.take_along_axis(f, chosen[..., None, None], axis=-1)[..., 0]
+    # each leading index with its own bin; the block axis between them comes after both
+    return f[(*np.ix_(*map(range, f.shape[:-2])), slice(None), chosen)]
 
 
 def forward_std(series: np.ndarray, w: int = 4) -> np.ndarray:
     """Population standard deviation over each length-w forward slice.
 
     Output index t covers ``series[..., t .. t+w-1]``, so the last axis of
-    the result has ``len - w + 1`` entries.
+    the result has ``len - w + 1`` entries. The sums are those ``np.std``
+    takes over the same slices, so the bits are its bits.
     """
     x = np.asarray(series, dtype=np.float64)
     if w < 1:
         raise ValueError("w must be positive")
     if x.shape[-1] < w:
         raise ValueError(f"series of length {x.shape[-1]} is shorter than w={w}")
-    return np.lib.stride_tricks.sliding_window_view(x, w, axis=-1).std(axis=-1)
+    slices = np.lib.stride_tricks.sliding_window_view(x, w, axis=-1)
+    mean = np.add.reduce(slices, axis=-1, keepdims=True)
+    mean /= w
+    deviation = np.subtract(slices, mean)
+    np.square(deviation, out=deviation)
+    var = np.add.reduce(deviation, axis=-1)
+    var /= w
+    return np.sqrt(var, out=var)
 
 
-def quantile(values: np.ndarray, q: float):
-    """Sorted linear-interpolation quantile at position (n-1)*q, along the last axis.
-
-    ``np.quantile`` can differ from this rule in the last bit, enough to
-    move a deviation across a fence.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("quantile of empty input")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    s = np.sort(v, axis=-1)
+def _interpolate(s: np.ndarray, q: float):
+    """Linear interpolation at position (n-1)*q along the last axis of sorted ``s``."""
     n = s.shape[-1]
     pos = (n - 1) * q
     lower = int(pos)
@@ -158,10 +165,31 @@ def quantile(values: np.ndarray, q: float):
     return s[..., lower]
 
 
+def _sorted(values: np.ndarray) -> np.ndarray:
+    s = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+    if s.size == 0:
+        raise ValueError("quantile of empty input")
+    return s
+
+
+def quantile(values: np.ndarray, q: float):
+    """Sorted linear-interpolation quantile at position (n-1)*q, along the last axis.
+
+    ``np.quantile`` can differ from this rule in the last bit, enough to
+    move a deviation across a fence.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return _interpolate(_sorted(values), q)
+
+
 def tukey_fences(sigma: np.ndarray, k: float) -> tuple[np.ndarray, ...]:
-    """Quartiles and fences ``(q1, q3, lo, hi)``, [Q1 - k*IQR, Q3 + k*IQR], of the deviations."""
-    q1 = quantile(sigma, 0.25)
-    q3 = quantile(sigma, 0.75)
+    """Quartiles and fences ``(q1, q3, lo, hi)``, [Q1 - k*IQR, Q3 + k*IQR], of the deviations.
+
+    Both quartiles are ``quantile``'s, read off one sort.
+    """
+    s = _sorted(sigma)
+    q1, q3 = _interpolate(s, 0.25), _interpolate(s, 0.75)
     iqr = q3 - q1
     return q1, q3, q1 - k * iqr, q3 + k * iqr
 
@@ -180,14 +208,6 @@ def classify_window(sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return flagged, np.where(flagged, np.argmax(outside, axis=-1), -1)[()]
 
 
-def _workers() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> None:
     """Run the stages over the windows starting at ``rows.window_start``, one verdict row each.
 
@@ -197,15 +217,19 @@ def _fill_rows(rows: np.recarray, samples: np.ndarray, cfg: DetectorConfig) -> N
     those spectra from row ``w * step / block_len`` on, a view, and the
     per-window stages run once over the whole chunk.
     """
-    first, last = rows.window_start[[0, -1]].tolist()
+    cols = rows.view(np.ndarray)  # a recarray sets each field through Python
+    first, last = cols["window_start"][[0, -1]].tolist()
     span = samples[first:last + cfg.window_len]
     spec = spectrogram(to_block_matrix(Window(first, span), cfg.block_len))
     spec = np.lib.stride_tricks.sliding_window_view(spec, cfg.blocks_per_window, axis=0)
     spec = spec[::cfg.step // cfg.block_len].swapaxes(1, 2)  # (windows, blocks, bins)
-    rows.selected_bin, rows.delta_p, _ = select_bin(spec)
-    sigma = forward_std(extract_series(spec, rows.selected_bin), cfg.std_window)
-    rows.q1, rows.q3, rows.lo, rows.hi = tukey_fences(sigma, cfg.k)
-    rows.is_event, rows.first_outlier_block = classify_window(sigma, rows.lo, rows.hi)
+    selected, gap, _ = select_bin(spec)
+    sigma = forward_std(extract_series(spec, selected), cfg.std_window)
+    q1, q3, lo, hi = tukey_fences(sigma, cfg.k)
+    flagged, first_outlier = classify_window(sigma, lo, hi)
+    cols["selected_bin"], cols["delta_p"], cols["q1"], cols["q3"] = selected, gap, q1, q3
+    cols["lo"], cols["hi"], cols["is_event"], cols["first_outlier_block"] = (
+        lo, hi, flagged, first_outlier)
 
 
 class _Rows(np.recarray):
@@ -247,10 +271,10 @@ def detect(
     than one window yields no events and no verdicts.
 
     Windows are analysed in chunks on one thread per CPU this process may
-    use: the calling thread and a pool thread for each further CPU take the
-    next chunk in turn until none is left. Each chunk writes only its own
-    rows, and the run merge waits for all of them, so the output does not
-    depend on the thread count. A chunk holds ``CHUNK_WINDOWS // threads``
+    use (``signal_io.drain``): the calling thread and a pool thread for each
+    further CPU take the next chunk in turn until none is left. Each chunk
+    writes only its own rows, and the run merge waits for all of them, so the
+    output does not depend on the thread count. A chunk holds ``CHUNK_WINDOWS // threads``
     windows (at least one), so at most ``CHUNK_WINDOWS`` windows' blocks,
     complex spectra and magnitudes are held at once (see ``_fill_rows``). A
     chunk releases its samples up to the next chunk's first window, so the
@@ -258,8 +282,6 @@ def detect(
     After a failure no thread takes a further chunk, and the error is raised
     once every thread has stopped.
     """
-    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
-
     if cfg is None:
         cfg = DetectorConfig()
     starts = windows(stream, cfg)
@@ -272,30 +294,14 @@ def detect(
     workers = _workers()
     per_task = max(1, CHUNK_WINDOWS // workers)
     chunks = range(0, len(starts), per_task)
-    pending, taking, failed = iter(chunks), threading.Lock(), threading.Event()
 
-    def drain() -> None:
-        while True:
-            with taking:
-                i0 = None if failed.is_set() else next(pending, None)
-            if i0 is None:
-                return
-            try:
-                _fill_rows(verdicts[i0:i0 + per_task], stream.samples, cfg)
-            except BaseException:
-                failed.set()
-                raise
-            # the samples no later chunk reads
-            stop = starts[i0 + per_task] if i0 + per_task < len(starts) else len(stream)
-            release(stream.samples[starts[i0]:stop])
+    def fill(i0: int) -> None:
+        _fill_rows(verdicts[i0:i0 + per_task], stream.samples, cfg)
+        # the samples no later chunk reads
+        stop = starts[i0 + per_task] if i0 + per_task < len(starts) else len(stream)
+        release(stream.samples[starts[i0]:stop])
 
-    # one thread per CPU and at most one per chunk; the caller is one of them
-    helpers = min(workers, len(chunks)) - 1
-    with ThreadPoolExecutor(max(1, helpers)) as pool:  # joins the helpers on exit
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-        for future in futures:
-            future.result()
+    drain(fill, chunks, min(workers, len(chunks)))
 
     flagged = np.flatnonzero(verdicts.is_event)
     first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first window of each run

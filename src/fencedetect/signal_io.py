@@ -13,9 +13,10 @@ import math
 import mmap
 import os
 import shutil
+import threading
 import warnings
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -263,33 +264,81 @@ def release(view: np.ndarray) -> None:
         base._mmap.madvise(mmap.MADV_DONTNEED, first, stop - first)
 
 
-def _chunks(values: np.ndarray, length: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, values[start:start + length])`` for each chunk of ``values``, in order."""
-    return ((a, values[a:a + length]) for a in range(0, len(values), length))
+def _chunks(values: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    """``values[start:start + length]`` for each chunk of ``values``, in order."""
+    return (values[a:a + length] for a in range(0, len(values), length))
+
+
+def _workers() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def drain(work: Callable, tasks: Iterable, threads: int) -> list:
+    """Call ``work`` on each task on ``threads`` threads, the caller one of them.
+
+    Each thread takes the next task once its last one is done, so at most one
+    task per thread is taken ahead of its end and the rest wait in ``tasks``.
+    After a failure no thread takes a further task, and the error is raised
+    once every thread has stopped. Returns ``work``'s results in the order the
+    tasks ended.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
+    pending, taking, failed = iter(tasks), threading.Lock(), threading.Event()
+    results, end = [], object()
+
+    def take() -> None:
+        while True:
+            with taking:
+                task = end if failed.is_set() else next(pending, end)
+            if task is end:
+                return
+            try:
+                results.append(work(task))
+            except BaseException:
+                failed.set()
+                raise
+
+    helpers = threads - 1
+    with ThreadPoolExecutor(max(1, helpers)) as pool:  # joins the helpers on exit
+        futures = [pool.submit(take) for _ in range(helpers)]
+        take()
+        for future in futures:
+            future.result()
+    return results
 
 
 def _map_raw(path: Path, dtype: np.dtype) -> tuple[np.ndarray, int]:
     """Map a headerless raw file read-only; a trailing partial sample is ignored.
 
-    A first pass counts the non-finite samples. A clean float64 file then
-    comes back as a read-only view of the mapping, not a copy. Any other
-    file, float32 or one with non-finite samples, is compacted into one
-    float64 array of its finite samples. Both passes walk the file in
-    ``RAW_CHUNK``-sample chunks and release each one, so no pass keeps the
-    file's pages resident.
+    A first pass counts the non-finite samples, on one thread per CPU this
+    process may use (``drain``). A clean float64 file then comes back as a
+    read-only view of the mapping, not a copy. Any other file, float32 or one
+    with non-finite samples, is compacted into one float64 array of its
+    finite samples on the calling thread. Both passes walk the file in
+    ``RAW_CHUNK``-sample chunks and release each one, so no pass keeps more
+    than a chunk per thread of the file's pages resident.
     """
     count = path.stat().st_size // dtype.itemsize
     if count == 0:
         return np.empty(0), 0  # np.memmap refuses a zero-length map
     raw = np.asarray(np.memmap(path, dtype=dtype, mode="r", shape=(count,)))
-    dropped = 0
-    for _, chunk in _chunks(raw, RAW_CHUNK):
-        dropped += len(chunk) - int(np.count_nonzero(np.isfinite(chunk)))
+
+    def non_finite(chunk: np.ndarray) -> int:
+        bad = len(chunk) - int(np.count_nonzero(np.isfinite(chunk)))
         release(chunk)
+        return bad
+
+    dropped = sum(drain(non_finite, _chunks(raw, RAW_CHUNK),
+                        min(_workers(), -(-count // RAW_CHUNK))))
     if dtype == np.float64 and not dropped:
         return raw, 0
     kept, n = np.empty(count - dropped), 0
-    for _, chunk in _chunks(raw, RAW_CHUNK):
+    for chunk in _chunks(raw, RAW_CHUNK):
         finite = chunk[np.isfinite(chunk)] if dropped else chunk
         kept[n:n + len(finite)] = finite
         n += len(finite)

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fencedetect
@@ -232,6 +232,102 @@ def test_stages_on_a_stack_match_each_window():
         assert own == tuple(column[i] for column in fences)
         assert classify_window(series_sigma, *own[2:]) == (flagged[i], first[i])
     assert flagged[::3].all()
+
+
+# The stage formulas the whole-stack ufunc forms replace: numpy's own mean, std and
+# take_along_axis, and one sort per quartile. Each stage must give their bytes.
+
+def _delta_p_oracle(f):
+    rows = f.shape[-2]
+    half = rows // 2
+    return np.abs(f[..., :half, :].mean(axis=-2) - f[..., rows - half:, :].mean(axis=-2))
+
+
+def _extract_series_oracle(f, chosen):
+    return np.take_along_axis(f, np.asarray(chosen)[..., None, None], axis=-1)[..., 0]
+
+
+def _forward_std_oracle(series, w):
+    x = np.asarray(series, dtype=np.float64)
+    return np.lib.stride_tricks.sliding_window_view(x, w, axis=-1).std(axis=-1)
+
+
+def _quantile_oracle(values, q):
+    s = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+    n = s.shape[-1]
+    pos = (n - 1) * q
+    lower = int(pos)
+    frac = pos - lower
+    if lower + 1 < n:
+        return s[..., lower] + frac * (s[..., lower + 1] - s[..., lower])
+    return s[..., lower]
+
+
+def _tukey_fences_oracle(sigma, k):
+    q1 = _quantile_oracle(sigma, 0.25)
+    q3 = _quantile_oracle(sigma, 0.75)
+    iqr = q3 - q1
+    return q1, q3, q1 - k * iqr, q3 + k * iqr
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _spectra(draw):
+    """A magnitude stack as a stage meets it, and a deviation width from 2 to its blocks.
+
+    One window ``(blocks, bins)``; a contiguous ``(windows, blocks, bins)`` stack; or
+    windows overlapping by whole blocks, a ``sliding_window_view`` of one block spectra
+    array stepped by fewer blocks than a window holds, as ``detect`` makes them.
+    """
+    blocks = draw(st.integers(2, 48))
+    bins = draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["window", "stack", "overlap"]))
+    if kind == "window":
+        shape = (blocks, bins)
+    elif kind == "stack":
+        shape = (draw(st.integers(1, 6)), blocks, bins)
+    else:
+        step = draw(st.integers(1, blocks - 1))
+        shape = ((draw(st.integers(1, 6)) - 1) * step + blocks, bins)
+    values = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.integers(-3, 4)
+    if draw(st.booleans()):  # few distinct values: ties in the bins and the quartiles
+        values = np.round(values, 1)
+    if kind == "overlap":
+        values = np.lib.stride_tricks.sliding_window_view(values, blocks, axis=0)
+        values = values[::step].swapaxes(-1, -2)
+    return values, draw(st.integers(2, blocks))
+
+
+# the default window's 47 blocks at widths from pairwise summation's 8 to the whole window
+@example(drawn=(np.abs(np.random.default_rng(8).standard_normal((32, 47, 65))), 8),
+         k=0.5, q=0.25)
+@example(drawn=(np.abs(np.random.default_rng(47).standard_normal((32, 47, 65))), 47),
+         k=0.5, q=0.75)
+@settings(max_examples=300, deadline=None)
+@given(drawn=_spectra(), k=st.sampled_from([0.0, 0.5, 1.5]),
+       q=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)))
+def test_stages_give_the_bytes_of_the_numpy_formulas(drawn, k, q):
+    spec, w = drawn
+    gaps = _delta_p_oracle(spec)
+    assert _same_bytes(delta_p(spec), gaps)
+    selected, gap, every = select_bin(spec)
+    assert _same_bytes(selected, np.argmax(gaps, axis=-1))
+    assert _same_bytes(gap, gaps.max(axis=-1))
+    assert _same_bytes(every, gaps)
+    series = extract_series(spec, selected)
+    assert _same_bytes(series, _extract_series_oracle(spec, selected))
+    # the gathered column, and the same column as a strided view of the stack
+    for values in (series, spec[..., 0]):
+        assert _same_bytes(forward_std(values, w), _forward_std_oracle(values, w))
+    sigma = forward_std(series, w)
+    fences, want = tukey_fences(sigma, k), _tukey_fences_oracle(sigma, k)
+    assert len(fences) == 4 and all(map(_same_bytes, fences, want))
+    assert _same_bytes(quantile(sigma, q), _quantile_oracle(sigma, q))
 
 
 def test_detect_stationary_sinusoid_has_no_events():

@@ -4,6 +4,7 @@ import mmap
 import os
 import stat
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -521,6 +522,98 @@ def test_chunked_raw_load_matches_the_whole_file(tmp_path, monkeypatch, chunk, f
     stream, report = read_waveform(path, fmt, 6000.0)
     assert stream.samples.tobytes() == np.full(len(values), 1.5).tobytes()
     assert report.dropped == 0
+
+
+def _holed_raw(path, dtype, chunk, where):
+    """``9 * chunk + 5`` samples (1000 at least) with NaN, inf and -inf put at the
+    start, middle and end of the first, a middle and/or the last chunk; returns the
+    float64 values written."""
+    n = max(9 * chunk + 5, 1000)
+    values = np.random.default_rng(chunk).standard_normal(n).astype(dtype)
+    last = (n - 1) // chunk
+    for c in {"first": [0], "middle": [last // 2], "last": [last],
+              "all": [0, last // 2, last], "none": []}[where]:
+        stop = min((c + 1) * chunk, n)
+        values[[c * chunk, (c * chunk + stop - 1) // 2, stop - 1]] = [np.nan, np.inf, -np.inf]
+    values.tofile(path)
+    return values.astype(np.float64)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all", "none"])
+@pytest.mark.parametrize("chunk", [1, 3, 4096, signal_io.RAW_CHUNK])
+@pytest.mark.parametrize("fmt, dtype", RAW_FORMATS)
+def test_raw_count_on_any_thread_count_matches_the_whole_file(tmp_path, monkeypatch, fmt,
+                                                              dtype, chunk, where):
+    """The non-finite count runs on 1, 2 and 3 threads; each gives the one array and count."""
+    monkeypatch.setattr(signal_io, "RAW_CHUNK", chunk)
+    path = tmp_path / "wave.raw"
+    values = _holed_raw(path, dtype, chunk, where)
+    expected = values[np.isfinite(values)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+        stream, report = read_waveform(path, fmt, 6000.0)
+        assert stream.samples.tobytes() == expected.tobytes(), workers
+        assert (report.kept, report.dropped) == (len(expected), len(values) - len(expected))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_raw_count_chunk_is_raised_once_and_stops_every_thread(tmp_path, monkeypatch,
+                                                                        workers):
+    monkeypatch.setattr(signal_io, "RAW_CHUNK", 8)
+    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+    path = tmp_path / "wave.f64"
+    _holed_raw(path, "<f8", 8, "none")  # 1000 samples: 125 chunks
+    calls, release = itertools.count(), signal_io.release
+
+    def failing(view):
+        if next(calls) == 2:  # the end of the third chunk, on whichever thread took it
+            raise MemoryError("cannot count the chunk")
+        time.sleep(0.01)  # the other threads hold a chunk when it fails
+        release(view)
+
+    monkeypatch.setattr(signal_io, "release", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="cannot count the chunk"):
+        read_waveform(path, "raw-f64le", 6000.0)
+    assert threading.active_count() == before
+    # of 125 chunks: after it, each other thread ends the chunk it held and at most one more
+    assert next(calls) <= 3 + 2 * (workers - 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_raw_count_takes_at_most_one_chunk_per_thread_ahead(tmp_path, monkeypatch, workers):
+    """The count runs on every thread, each taking its next chunk from the file once its
+    last one is done: never all chunks handed out at once."""
+    monkeypatch.setattr(signal_io, "RAW_CHUNK", 8)
+    monkeypatch.setattr(signal_io, "_workers", lambda: workers)
+    path = tmp_path / "wave.f64"
+    values = _holed_raw(path, "<f8", 8, "middle")  # 1000 samples: 125 chunks
+    taken, done, most, lock, threads = 0, 0, 0, threading.Lock(), set()
+    chunks, release = signal_io._chunks, signal_io.release
+
+    def counted_chunks(values, length):
+        nonlocal taken, most
+        for chunk in chunks(values, length):
+            with lock:
+                taken += 1
+                most = max(most, taken - done)
+            yield chunk
+
+    def counted_release(view):
+        nonlocal done
+        time.sleep(0.001)  # every thread gets chunks
+        release(view)
+        with lock:
+            done += 1
+            threads.add(threading.get_ident())
+
+    monkeypatch.setattr(signal_io, "_chunks", counted_chunks)
+    monkeypatch.setattr(signal_io, "release", counted_release)
+    stream, report = read_waveform(path, "raw-f64le", 6000.0)
+    assert stream.samples.tobytes() == values[np.isfinite(values)].tobytes()
+    assert taken == done == 2 * 125  # the count, then the compaction
+    assert 1 <= most <= workers
+    assert len(threads) == workers
 
 
 def test_synthetic_ground_truth_matches_spec():
